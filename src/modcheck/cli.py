@@ -147,10 +147,7 @@ def _require_assigned(phi, assignment: Dict[str, int]) -> None:
 
 
 def _config(args) -> EliminationConfig:
-    return EliminationConfig(
-        coloring_backend=args.backend,
-        threads=args.threads,
-    )
+    return EliminationConfig(coloring_backend=args.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +593,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "plain"), default="json", help="output format"
     )
     common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on piece-level worker threads (1 keeps everything sequential)",
-    )
-    common.add_argument(
         "--backend",
         choices=("exact", "heuristic"),
         default="heuristic",
@@ -678,8 +669,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_common(args, parser: argparse.ArgumentParser) -> None:
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     if args.command == "forest":
         needs_graph = args.action in ("encode", "roundtrip")
         if needs_graph and not args.graph:

@@ -16,8 +16,10 @@ moves:
     centered there, so the piece peels into an elimination forest of bounded
     height.
 
-3.  **Forest counters.**  Encode each piece as a colored forest, pull the
-    type-guarded body through the encoding, and attach a residue counter.
+3.  **Forest counters.**  Encode each piece as a colored forest and attach
+    a residue counter that tests the type-guarded body on the piece itself.
+    Pieces over the same color classes share one encoded forest and its
+    census tables.
     Because the types of the arguments and the witness pin every function
     chain of the body inside the piece, the piece-local witness count equals
     the global count of witnesses of that type — the clamped functions of the
@@ -40,13 +42,12 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .coloring import CenteredColoring, compute_p_centered, forest_from_centered
 from .forest_codec import ColoredForest, encode_IY, pullback_IS
-from .forest_eval import ModForestCounter, eliminate_mod_on_forest
+from .forest_eval import ForestTables, ModForestCounter, eliminate_mod_on_forest
 from .logic import (
     And,
     BoolConst,
@@ -206,7 +207,9 @@ class Piece:
     """One restriction of the expanded structure, with its forest counter.
 
     ``parent`` is the elimination-forest parent table, kept as side data so
-    the expanded structure stays a plain guided structure.
+    the expanded structure stays a plain guided structure.  ``sigma`` is the
+    type-guarded body over the piece's own vocabulary; its pullback to the
+    forest vocabulary is computed only by ``eliminated``.
     """
 
     key: Tuple[Tuple[int, ...], int]
@@ -217,7 +220,6 @@ class Piece:
     height: int
     forest: ColoredForest
     sigma: Formula
-    sigma_pulled: Formula
     counter: ModForestCounter
     modulus: int
     _eliminated: Dict[int, Tuple[ColoredForest, Formula]] = field(default_factory=dict)
@@ -229,7 +231,7 @@ class Piece:
         if c not in self._eliminated:
             self._eliminated[c] = eliminate_mod_on_forest(
                 self.forest,
-                self.sigma_pulled,
+                pullback_IS(self.sigma, self.forest.signature, self.height),
                 c,
                 self.modulus,
                 yvar=self.counter.yvar,
@@ -249,7 +251,6 @@ class EliminationConfig:
     coloring_backend: str = "heuristic"
     exact_threshold: int = 18
     mark_prefix: str = "Q"
-    threads: int = 1  # cap on workers building pieces; 1 = fully sequential
 
 
 class ZetaFormula(Formula):
@@ -283,8 +284,10 @@ class EliminationResult:
 
     ``m_star`` carries the color-class and color-type marks.  Pieces (with
     their forest parent tables and residue counters) are created on demand,
-    keyed by realized argument/witness types; ``last_touched`` records the
-    vertices consulted by the most recent evaluation.
+    keyed by realized argument/witness types; pieces over the same color
+    classes share one base: restriction, forest, encoding and census tables.
+    ``last_touched``, the vertices consulted by the most recent evaluation,
+    is derived on read from the piece keys and arguments it recorded.
     """
 
     m: GuidedStructure
@@ -302,12 +305,11 @@ class EliminationResult:
     prefix: str
     config: EliminationConfig
     zeta: Formula = field(init=False)
-    last_touched: Set[int] = field(default_factory=set)
     _classes: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     _pieces: Dict[Tuple[Tuple[int, ...], int], Piece] = field(default_factory=dict)
-    _bases: Dict[Tuple[int, ...], Tuple[GuidedStructure, object, ColoredForest]] = field(
-        default_factory=dict
-    )
+    _bases: Dict[Tuple[int, ...], tuple] = field(default_factory=dict)  # colors -> base
+    _touched_args: Set[int] = field(default_factory=set)
+    _touched_keys: Set[Tuple[Tuple[int, ...], int]] = field(default_factory=set)
 
     def __post_init__(self):
         self.zeta = ZetaFormula(self)
@@ -319,6 +321,10 @@ class EliminationResult:
 
     def type_mark(self, type_index: int) -> str:
         return f"{self.prefix}t{type_index}"
+
+    @property
+    def last_touched(self) -> Set[int]:
+        return self._touched_args.union(*(self._pieces[k].domain for k in self._touched_keys))
 
     # -- pieces -----------------------------------------------------------
 
@@ -342,9 +348,9 @@ class EliminationResult:
             piece_struct = restrict(self.m_star, domain)
             forest = forest_from_centered(piece_struct, self.coloring)
             encoded = encode_IY(piece_struct, forest)
-            base = (piece_struct, forest, encoded)
+            base = (piece_struct, forest, encoded, ForestTables(encoded))
             self._bases[tuple(used)] = base
-        piece_struct, forest, encoded = base
+        piece_struct, forest, encoded, tables = base
         sigma = and_all(
             [
                 MarkAtom(self.type_mark(i), Term(x))
@@ -352,18 +358,17 @@ class EliminationResult:
             ]
             + [MarkAtom(self.type_mark(key[1]), Term(self.yvar)), self.rho]
         )
-        pulled = pullback_IS(sigma, piece_struct.signature, forest.height)
         # Acceptance evaluates the quantifier-free guard on the piece itself:
         # extensionally equal to evaluating its pullback on the forest (the
         # encoding is faithful), and free of the pullback's term-flattening
         # quantifiers, so each memoized acceptance probe is a few atom reads.
         counter = ModForestCounter(
             encoded,
-            pulled,
+            sigma,
             self.b,
             yvar=self.yvar,
-            height=forest.height,
             accept=lambda nu: eval_naive(piece_struct, sigma, nu),
+            tables=tables,
         )
         name = "{}p{}w{}".format(
             self.prefix, "_".join(map(str, key[0])), key[1]
@@ -377,7 +382,6 @@ class EliminationResult:
             height=forest.height,
             forest=encoded,
             sigma=sigma,
-            sigma_pulled=pulled,
             counter=counter,
             modulus=self.b,
         )
@@ -414,24 +418,18 @@ class EliminationResult:
                 f"argument types {actual} do not match the piece key {tbar_idx}"
             )
         piece = self.piece(tbar_idx, t_idx)
-        self.last_touched |= set(piece.domain)
+        self._touched_keys.add(piece.key)
         nu = {x: valuation[x] for x in self.xvars}
         return piece.counter.residue(nu)
 
     def residue_vector(self, valuation: Dict[str, int]) -> Dict[int, int]:
         """Residues of every realized witness type at one argument tuple."""
         tbar = self._argument_types(valuation)
-        self.last_touched = {valuation[x] for x in self.xvars}
-        indices = range(len(self.types))
-        missing = [t for t in indices if (tbar, t) not in self._pieces]
-        if self.config.threads > 1 and len(missing) > 1:
-            # Piece construction is independent per witness type; results do
-            # not depend on completion order, so a pool only changes timing.
-            with ThreadPoolExecutor(max_workers=self.config.threads) as pool:
-                list(pool.map(lambda t: self.piece(tbar, t), missing))
+        self._touched_args = {valuation[x] for x in self.xvars}
+        self._touched_keys = set()
         return {
             t_idx: self.residue(tbar, t_idx, valuation)
-            for t_idx in indices
+            for t_idx in range(len(self.types))
         }
 
     def total_residue(self, valuation: Dict[str, int]) -> int:

@@ -11,6 +11,9 @@ forest plus marks is a lossless re-presentation: decode(encode(M, F)) == M.
 
 Formulas over the source vocabulary translate to formulas over the forest
 vocabulary (parent compositions, level marks, codec marks) via pullback_IS.
+The elimination pipeline tests acceptance on each piece itself, so
+pullback_IS serves materialization only: turning a piece's count into
+residue marks and a quantifier-free formula over the forest vocabulary.
 """
 
 from __future__ import annotations

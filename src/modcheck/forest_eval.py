@@ -61,13 +61,15 @@ def reset_case_counters() -> None:
 
 
 class _Index:
-    """Children lists and per-vertex letters (all marks except levels)."""
+    """Sorted vertices, roots, children lists and per-vertex letters (all
+    marks except levels) of one forest, computed once."""
 
     def __init__(self, y: ColoredForest):
-        self.y = y
         self.forest = y.forest
+        self.vertices: Tuple[int, ...] = y.forest.vertices()
+        self.roots: Tuple[int, ...] = y.forest.roots()
         self.children: Dict[int, Tuple[int, ...]] = y.forest.children()
-        letters: Dict[int, List[str]] = {v: [] for v in y.forest.vertices()}
+        letters: Dict[int, List[str]] = {v: [] for v in self.vertices}
         for name in y.signature.unary_relations:
             for v in y.marks[name]:
                 letters[v].append(name)
@@ -78,9 +80,6 @@ class _Index:
             for v in vs:
                 letters[v].append(func_mark_name(*key))
         self.letter: Dict[int, Tuple[str, ...]] = {v: tuple(sorted(ls)) for v, ls in letters.items()}
-
-    def roots(self) -> Tuple[int, ...]:
-        return self.forest.roots()
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +104,7 @@ class SubtreeTypeTable:
         self.index = index or _Index(y)
         self.code: Dict[int, int] = {}
         self._intern: Dict[tuple, int] = {}
-        order = sorted(self.index.forest.vertices(), key=lambda v: -self.index.forest.level[v])
+        order = sorted(self.index.vertices, key=lambda v: -self.index.forest.level[v])
         for v in order:
             counts = Counter(self.code[c] for c in self.index.children[v])
             if threshold is None:
@@ -118,9 +117,6 @@ class SubtreeTypeTable:
                 tid = len(self._intern)
                 self._intern[key] = tid
             self.code[v] = tid
-
-    def same_subtree(self, u: int, v: int) -> bool:
-        return self.code[u] == self.code[v]
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +448,15 @@ def annotate_counts(y: ColoredForest, f1: TightLabeledForest, b: int) -> Residue
     idx = _Index(y)
     root = f1.trees[0]
     memo: Dict[tuple, int] = {}
-    blue = {v: _embeddings_at(idx, v, root, memo) % b for v in y.forest.vertices()}
+    blue = {v: _embeddings_at(idx, v, root, memo) % b for v in idx.vertices}
     if len(root.children) == 1:
         sub = root.children[0]
-        green = {v: _embeddings_at(idx, v, sub, memo) % b for v in y.forest.vertices()}
+        green = {v: _embeddings_at(idx, v, sub, memo) % b for v in idx.vertices}
     else:
-        green = {v: 0 for v in y.forest.vertices()}
+        green = {v: 0 for v in idx.vertices}
     b_index: Dict[int, int] = {}
     total = 0
-    for r in idx.roots():
+    for r in idx.roots:
         acc = 0
         stack = [r]
         while stack:
@@ -529,7 +525,7 @@ def count_instances_mod(y: ColoredForest, pattern: TightLabeledForest, vbar: Seq
         letters = tuple(n.letter for n in path)
         total = 0
         closure_roots = {v for v in closure if forest.parent[v] == v}
-        for r in idx.roots():
+        for r in idx.roots:
             if idx.letter[r] != letters[0]:
                 continue
             n_here = _letter_path_count(idx, r, letters[1:])
@@ -568,6 +564,35 @@ def _pi_term(var: str, steps: int) -> Term:
     return Term(var, (1,) * steps)
 
 
+class ForestTables:
+    """Formula-independent census tables of one forest, shareable by counters:
+    exact subtree codes and, for every realized descending code-path, its
+    occurrences below each vertex (``down``, listed per vertex in
+    ``paths_from``) and from the roots (``n_table``)."""
+
+    def __init__(self, y: ColoredForest):
+        self.index = _Index(y)
+        self.codes = SubtreeTypeTable(y, index=self.index)
+        forest = self.index.forest
+        code = self.codes.code
+        down: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+        n_table: Dict[Tuple[int, ...], int] = {}
+        for w in self.index.vertices:
+            chain = [w] + list(forest.strict_ancestors(w))
+            for d in range(1, len(chain)):
+                q = tuple(code[chain[j]] for j in range(d - 1, -1, -1))
+                key = (chain[d], q)
+                down[key] = down.get(key, 0) + 1
+            full = tuple(code[chain[j]] for j in range(len(chain) - 1, -1, -1))
+            n_table[full] = n_table.get(full, 0) + 1
+        self.down = down
+        self.n_table = n_table
+        paths_from: Dict[int, List[Tuple[int, ...]]] = {}
+        for (v, q) in down:
+            paths_from.setdefault(v, []).append(q)
+        self.paths_from = {v: sorted(qs) for v, qs in paths_from.items()}
+
+
 class ModForestCounter:
     """Counts witnesses of one modulo quantifier over a fixed forest.
 
@@ -575,10 +600,11 @@ class ModForestCounter:
     count mod b at ν, and materialize(c) produces an expanded forest plus a
     quantifier-free formula over parent compositions and residue marks.
 
-    Precomputes exact subtree codes and, for every realized descending
-    code-path, the number of its occurrences below each vertex; acceptance
-    of ς on a witness class is decided once per typed closure shape (tuples
-    sharing a typed shape are automorphic, so one representative suffices).
+    The census reads the forest's ``ForestTables``, built here unless shared
+    ones are passed in; acceptance of ς on a witness class is decided once
+    per typed closure shape (tuples sharing a typed shape are automorphic,
+    so one representative suffices) and memoized per counter.  The forest
+    structure is built only for the default acceptance test.
     """
 
     def __init__(
@@ -587,15 +613,17 @@ class ModForestCounter:
         sigma: Formula,
         b: int,
         yvar: Optional[str] = None,
-        height: Optional[int] = None,
         accept: Optional[Callable[[Dict[str, int]], bool]] = None,
+        tables: Optional[ForestTables] = None,
     ):
         """`accept`, when given, replaces the default acceptance test
         (evaluating `sigma` on the forest structure) with a callback on the
         same valuations.  The callback must be invariant under
         mark-preserving forest automorphisms — any evaluation against a
         structure the forest encodes qualifies, since decoding commutes with
-        such automorphisms — because results are memoized by argument shape."""
+        such automorphisms — because results are memoized by argument shape.
+        Only then may `sigma` leave the forest vocabulary; it still names
+        the variables.  `tables` must be built on `y`."""
         if b < 1:
             raise ValueError("modulus must be positive")
         self.y = y
@@ -605,45 +633,22 @@ class ModForestCounter:
             if not fv:
                 raise ValueError("witness variable must be given for a closed formula")
             yvar = fv[-1]
-        elif yvar not in fv:
-            # a witness variable the formula ignores is fine (e.g. ς constant)
-            pass
         self.yvar = yvar
         self.xvars: Tuple[str, ...] = tuple(v for v in fv if v != yvar)
         self.sigma = sigma
-        self.index = _Index(y)
-        self.codes = SubtreeTypeTable(y, index=self.index)
-        self._fs = forest_structure(y, height=max(height or 0, y.forest.height) or None)
+        self.tables = tables or ForestTables(y)
+        self.index = self.tables.index
+        self.codes = self.tables.codes
+        self._fs = forest_structure(y) if accept is None else None
         self._accept_fn = accept
         self._accept_memo: Dict[tuple, bool] = {}
-        self._build_path_tables()
 
     # -- tables -------------------------------------------------------------
-
-    def _build_path_tables(self) -> None:
-        forest = self.index.forest
-        code = self.codes.code
-        down: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        n_table: Dict[Tuple[int, ...], int] = {}
-        for w in forest.vertices():
-            chain = [w] + list(forest.strict_ancestors(w))
-            for d in range(1, len(chain)):
-                q = tuple(code[chain[j]] for j in range(d - 1, -1, -1))
-                key = (chain[d], q)
-                down[key] = down.get(key, 0) + 1
-            full = tuple(code[chain[j]] for j in range(len(chain) - 1, -1, -1))
-            n_table[full] = n_table.get(full, 0) + 1
-        self._down = down
-        self._n_table = n_table
-        paths_from: Dict[int, List[Tuple[int, ...]]] = {}
-        for (v, q) in down:
-            paths_from.setdefault(v, []).append(q)
-        self._paths_from = {v: sorted(qs) for v, qs in paths_from.items()}
 
     def down(self, v: int, q: Tuple[int, ...]) -> int:
         if not q:
             return 1
-        return self._down.get((v, q), 0)
+        return self.tables.down.get((v, q), 0)
 
     def root_count(self, r: int, qfull: Tuple[int, ...]) -> int:
         if self.codes.code[r] != qfull[0]:
@@ -709,7 +714,7 @@ class ModForestCounter:
                 total += 1
                 terms.append(("B", w))
         for s in closure:
-            for q in self._paths_from.get(s, ()):
+            for q in self.tables.paths_from.get(s, ()):
                 cnt = self.down(s, q)
                 for c in pinned[s]:
                     if self.codes.code[c] == q[0]:
@@ -723,13 +728,13 @@ class ModForestCounter:
                     total += cnt
                     terms.append(("C", s, q, cnt))
         croots = set(closure_roots)
-        for qfull in sorted(self._n_table):
-            cnt = self._n_table[qfull] - sum(self.root_count(r, qfull) for r in closure_roots)
+        for qfull in sorted(self.tables.n_table):
+            cnt = self.tables.n_table[qfull] - sum(self.root_count(r, qfull) for r in closure_roots)
             if cnt % self.b == 0:
                 continue
             CASE_COUNTER["A"] += 1
             w = None
-            for r in self.index.roots():
+            for r in self.index.roots:
                 if r in croots or self.codes.code[r] != qfull[0]:
                     continue
                 w = self._find_below(r, qfull[1:])
@@ -752,7 +757,7 @@ class ModForestCounter:
         """
         if not 0 <= c < self.b:
             raise ValueError(f"residue {c} out of range for modulus {self.b}")
-        domain = self.y.forest.vertices()
+        domain = self.index.vertices
         k = len(self.xvars)
         groups: Dict[tuple, Tuple[int, ...]] = {}
         for vbar in itertools.product(domain, repeat=k):
@@ -848,23 +853,23 @@ class ModForestCounter:
         new_marks: Dict[str, List[int]] = {}
         for tid in sorted(used_codes):
             new_marks[f"{mark_prefix}Code{tid}"] = [
-                v for v in self.y.forest.vertices() if self.codes.code[v] == tid
+                v for v in self.index.vertices if self.codes.code[v] == tid
             ]
         for (kind, q), qid in sorted(used_paths.items(), key=lambda kv: kv[1]):
             for r in range(self.b):
                 if kind == "C":
                     new_marks[f"{mark_prefix}Blue{qid}x{r}"] = [
-                        v for v in self.y.forest.vertices() if self.down(v, q) % self.b == r
+                        v for v in self.index.vertices if self.down(v, q) % self.b == r
                     ]
                     new_marks[f"{mark_prefix}Green{qid}x{r}"] = [
                         v
-                        for v in self.y.forest.vertices()
+                        for v in self.index.vertices
                         if ((self.down(v, q[1:]) if self.codes.code[v] == q[0] else 0) % self.b) == r
                     ]
                 else:
                     new_marks[f"{mark_prefix}Root{qid}x{r}"] = [
                         v
-                        for v in self.y.forest.vertices()
+                        for v in self.index.vertices
                         if ((self.down(v, q[1:]) if self.codes.code[v] == q[0] else 0) % self.b) == r
                     ]
         sig = self.y.signature.with_relations(sorted(new_marks))

@@ -147,13 +147,6 @@ def test_mc_is_byte_identical_across_reruns(capsys, c4):
     assert first == second
 
 
-def test_mc_threads_flag_does_not_change_the_payload(capsys, c4):
-    base = ("mc", "-g", c4, "-f", "Emod[0,2] y. adj(x,y)", "--assign", "x=2")
-    _, sequential, _ = run_cli(capsys, *base, "--threads", "1")
-    _, pooled, _ = run_cli(capsys, *base, "--threads", "4")
-    assert sequential == pooled
-
-
 def test_mc_unassigned_free_variables_are_a_computation_error(capsys, c4):
     code, out, err = run_cli(capsys, "mc", "-g", c4, "-f", "Emod[0,2] y. adj(x,y)")
     assert code == 1
@@ -481,12 +474,6 @@ def test_usage_errors_exit_two(capsys):
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
-    assert info.value.code == 2
-
-
-def test_threads_must_be_positive(capsys, c4):
-    with pytest.raises(SystemExit) as info:
-        main(["mc", "-g", c4, "-f", "x = x", "--threads", "0"])
     assert info.value.code == 2
 
 

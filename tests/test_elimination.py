@@ -503,6 +503,25 @@ def test_evaluation_touches_only_the_pieces_of_the_bound_types():
     assert res.last_touched == allowed  # every realized piece was consulted
 
 
+def test_pieces_share_forest_tables_per_base_and_build_no_forest_structure():
+    m = chain_structure(8)
+    phi = parse_formula("Emod[1,2] y . adj(x, f0(y))", m.signature)
+    res = eliminate_one(m, 1, 2, phi.body, "y")
+    assert len(res.types) >= 2
+    for v in m.domain:
+        assert res.eval({"x": v}) == eval_naive(m, phi, {"x": v})
+    pieces = list(res._pieces.values())
+    assert all(piece.counter._fs is None for piece in pieces)
+    shared = 0
+    for p1, p2 in itertools.combinations(pieces, 2):
+        if p1.colors == p2.colors:
+            assert p1.counter.tables is p2.counter.tables
+            shared += 1
+        else:
+            assert p1.counter.tables is not p2.counter.tables
+    assert shared  # some base serves several (argument types, witness type) keys
+
+
 def test_unrealized_type_index_is_rejected():
     m = cycle_graph(4)
     rho = parse_formula("adj(x, y)", m.signature)

@@ -25,7 +25,6 @@ from .coloring import (
 from .elimination import (
     EliminationConfig,
     UnsupportedFragmentError,
-    count_definable,
     eliminate_all,
     eval_pipeline,
 )
@@ -45,7 +44,6 @@ from .matrix import (
     format_matrix,
     parse_expr,
     parse_matrix,
-    slice_matrix,
     srank,
 )
 from .structures import (
@@ -60,7 +58,6 @@ from .structures import (
 )
 from .vertex_minor import (
     IndependenceError,
-    VmStep,
     depth_k_vertex_minor,
     local_complement,
     local_complement_set,
@@ -172,7 +169,7 @@ def _cmd_mc(args, timings: _Timings) -> int:
             marks = 0
         else:
             result = run.eval(assignment)
-            pieces = sum(len(stage._pieces) for stage in run.stages)
+            pieces = sum(len(stage.pieces_materialized()) for stage in run.stages)
             marks = len(run.m_star.signature.unary_relations) - len(
                 m.signature.unary_relations
             )
@@ -203,10 +200,7 @@ def _cmd_count(args, timings: _Timings) -> int:
             fallback = True
             total = count_naive(m, phi)
         else:
-            var = fv[0]
-            total = sum(
-                1 for v in m.domain if eval_naive(run.m_star, run.zeta, {var: v})
-            )
+            total = sum(1 for v in m.domain if run.eval({fv[0]: v}))
     payload = {"count": total, "fallback": fallback, "variable": fv[0]}
     _emit(payload, args.format, str(total))
     return 0
@@ -592,7 +586,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "plain"), default="json", help="output format"
     )
-    common.add_argument(
+    backend = argparse.ArgumentParser(add_help=False)
+    backend.add_argument(
         "--backend",
         choices=("exact", "heuristic"),
         default="heuristic",
@@ -600,21 +595,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mc = sub.add_parser("mc", parents=[common], help="evaluate a formula at an assignment")
+    mc = sub.add_parser("mc", parents=[common, backend], help="evaluate a formula at an assignment")
     mc.add_argument("-g", "--graph", required=True, help="graph file")
     mc.add_argument("-f", "--formula", required=True, help="formula text")
     mc.add_argument("--assign", help="comma-separated var=vertex pairs")
     mc.set_defaults(func=_cmd_mc)
 
     count = sub.add_parser(
-        "count", parents=[common], help="count vertices satisfying a one-variable formula"
+        "count", parents=[common, backend], help="count vertices satisfying a one-variable formula"
     )
     count.add_argument("-g", "--graph", required=True)
     count.add_argument("-f", "--formula", required=True)
     count.set_defaults(func=_cmd_count)
 
     elim = sub.add_parser(
-        "eliminate", parents=[common], help="eliminate modulo quantifiers, emit the expansion"
+        "eliminate", parents=[common, backend], help="eliminate modulo quantifiers, emit the expansion"
     )
     elim.add_argument("-g", "--graph", required=True)
     elim.add_argument("-f", "--formula", required=True)
@@ -622,7 +617,7 @@ def _build_parser() -> argparse.ArgumentParser:
     elim.set_defaults(func=_cmd_eliminate)
 
     color = sub.add_parser(
-        "color", parents=[common], help="compute and validate a p-centered coloring"
+        "color", parents=[common, backend], help="compute and validate a p-centered coloring"
     )
     color.add_argument("-g", "--graph", required=True)
     color.add_argument("-p", type=int, required=True, help="centeredness parameter")

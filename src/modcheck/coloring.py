@@ -5,13 +5,20 @@ least p colors or has some color on exactly one vertex.  Colorings whose every
 connected subgraph has a uniquely colored vertex ("fully centered") are
 p-centered for all p; depth levels of an elimination forest are such a
 coloring, which is how both construction backends here produce validity.
+
+Every forest here comes from one of two peels.  ``_peel_forest`` removes a
+chosen root from each component and peels the rest below it: a root of
+minimum tree-depth for the exact forest, a separator for the heuristic one.
+``_centered_peel`` removes each component's uniquely colored vertex of
+smallest (color, id); the validator runs it on unions of color classes, and
+``forest_from_centered`` turns its removals into a forest.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .structures import Graph, GuidedStructure, gaifman
 
@@ -255,6 +262,16 @@ class _TreedepthEngine:
         self.memo[vs] = best
         return best
 
+    def _min_height_root(self, vs: FrozenSet[int]) -> int:
+        """Smallest vertex whose removal leaves components of tree-depth one
+        less than the connected set ``vs``."""
+        td = self._td_connected(vs, None)
+        for v in sorted(vs):
+            rest = self.components(vs - {v})
+            if max((self._td_connected(c, td) for c in rest), default=0) < td:
+                return v
+        raise AssertionError("tree-depth recursion lost its witness")
+
 
 def treedepth_exact(g: Graph, size_cap: int = 20) -> int:
     """Exact tree-depth by branch and bound; refuses graphs above the cap."""
@@ -265,49 +282,33 @@ def treedepth_exact(g: Graph, size_cap: int = 20) -> int:
     return _TreedepthEngine(g).treedepth(frozenset(g.vertices))
 
 
-def optimal_elimination_forest(g: Graph) -> EliminationForest:
-    """Minimum-height elimination forest (exponential; small graphs only)."""
+def _peel_forest(g: Graph, choose: Callable[[_TreedepthEngine, FrozenSet[int]], int]) -> EliminationForest:
+    """Elimination forest by repeated root choice: ``choose`` picks the root
+    of every component with two or more vertices, and the rest of the
+    component is peeled below it."""
     eng = _TreedepthEngine(g)
     parent: Dict[int, int] = {}
     level: Dict[int, int] = {}
 
     def peel(vs: FrozenSet[int], par: Optional[int], lvl: int) -> None:
         for comp in eng.components(vs):
-            td = eng._td_connected(comp, None) if len(comp) > 1 else 1
-            chosen = None
-            if len(comp) == 1:
-                chosen = min(comp)
-            else:
-                for v in sorted(comp):
-                    rest = comp - {v}
-                    sub = max((eng._td_connected(c, td) for c in eng.components(rest)), default=0)
-                    if sub + 1 <= td:
-                        chosen = v
-                        break
-                assert chosen is not None, "tree-depth recursion lost its witness"
-            parent[chosen] = chosen if par is None else par
-            level[chosen] = lvl
-            peel(comp - {chosen}, chosen, lvl + 1)
-
-    peel(frozenset(g.vertices), None, 1)
-    return EliminationForest(parent, level)
-
-
-def heuristic_elimination_forest(g: Graph) -> EliminationForest:
-    """Separator-guided elimination forest; valid for any graph, decent height."""
-    eng = _TreedepthEngine(g)
-    parent: Dict[int, int] = {}
-    level: Dict[int, int] = {}
-
-    def peel(vs: FrozenSet[int], par: Optional[int], lvl: int) -> None:
-        for comp in eng.components(vs):
-            v = min(comp) if len(comp) == 1 else eng._separator_choice(comp)
+            v = min(comp) if len(comp) == 1 else choose(eng, comp)
             parent[v] = v if par is None else par
             level[v] = lvl
             peel(comp - {v}, v, lvl + 1)
 
     peel(frozenset(g.vertices), None, 1)
     return EliminationForest(parent, level)
+
+
+def optimal_elimination_forest(g: Graph) -> EliminationForest:
+    """Minimum-height elimination forest (exponential; small graphs only)."""
+    return _peel_forest(g, _TreedepthEngine._min_height_root)
+
+
+def heuristic_elimination_forest(g: Graph) -> EliminationForest:
+    """Separator-guided elimination forest; valid for any graph, decent height."""
+    return _peel_forest(g, _TreedepthEngine._separator_choice)
 
 
 def coloring_from_forest(forest: EliminationForest, p: int) -> CenteredColoring:
@@ -320,40 +321,35 @@ def coloring_from_forest(forest: EliminationForest, p: int) -> CenteredColoring:
 # ---------------------------------------------------------------------------
 
 
-def _centered_violation(adj: Dict[int, frozenset], vs: FrozenSet[int], colors: Dict[int, int]) -> Optional[Tuple[int, ...]]:
-    """Find a connected subgraph with no uniquely colored vertex, else None.
+def _centered_peel(
+    eng: _TreedepthEngine, vs: FrozenSet[int], colors: Dict[int, int]
+) -> Tuple[Optional[Tuple[int, ...]], Dict[int, int], Dict[int, int]]:
+    """Peel ``vs`` by colors: in every component, delete the uniquely colored
+    vertex with the smallest (color, id) and peel the rest of the component
+    below it.
 
-    Works component-wise: delete a uniquely colored vertex, recurse.  Which
-    unique vertex is deleted does not matter for the outcome.
+    Returns the first component met with no uniquely colored vertex (None
+    when there is none) and the parent and level maps of the vertices peeled.
+    Which unique vertex is deleted does not change whether a violation exists.
     """
-    stack = [vs]
+    parent: Dict[int, int] = {}
+    level: Dict[int, int] = {}
+    stack: List[Tuple[FrozenSet[int], Optional[int], int]] = [(vs, None, 1)]
     while stack:
-        cur = stack.pop()
-        seen = set()
-        for s in sorted(cur):
-            if s in seen:
-                continue
-            comp = {s}
-            seen.add(s)
-            grow = [s]
-            while grow:
-                x = grow.pop()
-                for y in adj[x] & cur:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        grow.append(y)
+        cur, par, lvl = stack.pop()
+        for comp in eng.components(cur):
             counts: Dict[int, int] = {}
             for v in comp:
                 counts[colors[v]] = counts.get(colors[v], 0) + 1
             unique = [v for v in comp if counts[colors[v]] == 1]
             if not unique:
-                return tuple(sorted(comp))
+                return tuple(sorted(comp)), parent, level
             pick = min(unique, key=lambda v: (colors[v], v))
-            rest = frozenset(comp) - {pick}
-            if rest:
-                stack.append(rest)
-    return None
+            parent[pick] = pick if par is None else par
+            level[pick] = lvl
+            if len(comp) > 1:
+                stack.append((comp - {pick}, pick, lvl + 1))
+    return None, parent, level
 
 
 def validate_p_centered(g: Graph, coloring: CenteredColoring, p: Optional[int] = None) -> Optional[Tuple[int, ...]]:
@@ -369,7 +365,7 @@ def validate_p_centered(g: Graph, coloring: CenteredColoring, p: Optional[int] =
     for v in g.vertices:
         if v not in coloring.colors:
             raise ValueError(f"vertex {v} is uncolored")
-    adj = {v: frozenset(g.adj[v]) for v in g.vertices}
+    eng = _TreedepthEngine(g)
     palette = sorted(set(coloring.colors[v] for v in g.vertices))
     classes: Dict[int, List[int]] = {c: [] for c in palette}
     for v in sorted(g.vertices):
@@ -378,7 +374,7 @@ def validate_p_centered(g: Graph, coloring: CenteredColoring, p: Optional[int] =
     for size in range(1, top + 1):
         for chosen in itertools.combinations(palette, size):
             vs = frozenset(v for c in chosen for v in classes[c])
-            witness = _centered_violation(adj, vs, coloring.colors)
+            witness = _centered_peel(eng, vs, coloring.colors)[0]
             if witness is not None:
                 return witness
     return None
@@ -428,7 +424,11 @@ def _greedy_distance_coloring(g: Graph, radius: int) -> CenteredColoring:
     return CenteredColoring(0, colors)
 
 
-def compute_p_centered(g: Graph, p: int, backend: str = "heuristic", exact_threshold: int = 18) -> CenteredColoring:
+# largest graph the heuristic backend's fallback hands to the exact forest
+EXACT_THRESHOLD = 18
+
+
+def compute_p_centered(g: Graph, p: int, backend: str = "heuristic") -> CenteredColoring:
     """A valid p-centered coloring; no promise on the number of colors.
 
     exact backend: depth levels of a minimum-height elimination forest.
@@ -449,7 +449,7 @@ def compute_p_centered(g: Graph, p: int, backend: str = "heuristic", exact_thres
         cand = CenteredColoring(p, _greedy_distance_coloring(g, radius).colors)
         if validate_p_centered(g, cand, p) is None:
             return cand
-    if len(g) <= exact_threshold:
+    if len(g) <= EXACT_THRESHOLD:
         return coloring_from_forest(optimal_elimination_forest(g), p)
     return coloring_from_forest(heuristic_elimination_forest(g), p)
 
@@ -462,39 +462,11 @@ def forest_from_centered(m: GuidedStructure, coloring: CenteredColoring) -> Elim
     Raises NotCenteredError when some component has no unique color.
     """
     g = gaifman(m)
-    adj = {v: frozenset(g.adj[v]) for v in g.vertices}
-    parent: Dict[int, int] = {}
-    level: Dict[int, int] = {}
-
-    def peel(vs: FrozenSet[int], par: Optional[int], lvl: int) -> None:
-        seen = set()
-        for s in sorted(vs):
-            if s in seen:
-                continue
-            comp = {s}
-            seen.add(s)
-            grow = [s]
-            while grow:
-                x = grow.pop()
-                for y in adj[x] & vs:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        grow.append(y)
-            counts: Dict[int, int] = {}
-            for v in comp:
-                counts[coloring.colors[v]] = counts.get(coloring.colors[v], 0) + 1
-            unique = [v for v in comp if counts[coloring.colors[v]] == 1]
-            if not unique:
-                raise NotCenteredError(comp)
-            pick = min(unique, key=lambda v: (coloring.colors[v], v))
-            parent[pick] = pick if par is None else par
-            level[pick] = lvl
-            rest = frozenset(comp) - {pick}
-            if rest:
-                peel(rest, pick, lvl + 1)
-
-    peel(frozenset(g.vertices), None, 1)
+    violation, parent, level = _centered_peel(
+        _TreedepthEngine(g), frozenset(g.vertices), coloring.colors
+    )
+    if violation is not None:
+        raise NotCenteredError(violation)
     forest = EliminationForest(parent, level)
     forest.validate(g)
     return forest

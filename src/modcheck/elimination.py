@@ -43,11 +43,11 @@ import itertools
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .coloring import CenteredColoring, compute_p_centered, forest_from_centered
-from .forest_codec import ColoredForest, encode_IY, pullback_IS
-from .forest_eval import ForestTables, ModForestCounter, eliminate_mod_on_forest
+from .forest_codec import ColoredForest, encode_IY
+from .forest_eval import ForestTables, ModForestCounter
 from .logic import (
     And,
     BoolConst,
@@ -134,47 +134,6 @@ def color_type_of(
     return tuple(colors[apply_composition(m, alpha, v)] for alpha in compositions)
 
 
-def theta(
-    t: ColorType,
-    compositions: Sequence[Tuple[int, ...]],
-    var: str,
-    color_mark: Callable[[int], str],
-) -> Formula:
-    """Quantifier-free test "the color type of ``var`` equals ``t``".
-
-    One color-mark atom per tracked composition; exact on the expanded
-    structure (where the marks were computed before any restriction).
-    """
-    if len(t) != len(compositions):
-        raise ValueError("color type length does not match the composition list")
-    return and_all(
-        [
-            MarkAtom(color_mark(c), Term(var, tuple(alpha)))
-            for alpha, c in zip(compositions, t)
-        ]
-    )
-
-
-def rho_restrict(
-    rho: Formula,
-    tbar: Sequence[ColorType],
-    tprime: ColorType,
-    compositions: Sequence[Tuple[int, ...]],
-    xvars: Sequence[str],
-    yvar: str,
-    color_mark: Callable[[int], str],
-) -> Formula:
-    """Guard a quantifier-free body by color-type tests on every variable."""
-    if len(tbar) != len(xvars):
-        raise ValueError("one argument type per argument variable is required")
-    parts: List[Formula] = [
-        theta(t, compositions, x, color_mark) for t, x in zip(tbar, xvars)
-    ]
-    parts.append(theta(tprime, compositions, yvar, color_mark))
-    parts.append(rho)
-    return and_all(parts)
-
-
 def residue_distributions(
     a: int, b: int, realized: Sequence
 ) -> Iterator[Dict[object, int]]:
@@ -208,8 +167,11 @@ class Piece:
 
     ``parent`` is the elimination-forest parent table, kept as side data so
     the expanded structure stays a plain guided structure.  ``sigma`` is the
-    type-guarded body over the piece's own vocabulary; its pullback to the
-    forest vocabulary is computed only by ``eliminated``.
+    type-guarded body: the type marks of the key on every variable, conjoined
+    with the quantified body, over the piece's own vocabulary.  ``counter``
+    counts its witnesses on the encoded ``forest`` and accepts a witness class
+    by evaluating ``sigma`` on the piece itself; ``eliminated`` materializes
+    residues through that same counter.
     """
 
     key: Tuple[Tuple[int, ...], int]
@@ -221,22 +183,15 @@ class Piece:
     forest: ColoredForest
     sigma: Formula
     counter: ModForestCounter
-    modulus: int
     _eliminated: Dict[int, Tuple[ColoredForest, Formula]] = field(default_factory=dict)
 
     def eliminated(self, c: int) -> Tuple[ColoredForest, Formula]:
         """Forest-level residual formula for "the witness count leaves
         residue ``c``", with its residue marks; built on first use."""
-        c %= self.modulus
+        c %= self.counter.b
         if c not in self._eliminated:
-            self._eliminated[c] = eliminate_mod_on_forest(
-                self.forest,
-                pullback_IS(self.sigma, self.forest.signature, self.height),
-                c,
-                self.modulus,
-                yvar=self.counter.yvar,
-                height_bound=self.height,
-                mark_prefix=f"{self.name}r{c}_",
+            self._eliminated[c] = self.counter.materialize(
+                c, mark_prefix=f"{self.name}r{c}_"
             )
         return self._eliminated[c]
 
@@ -249,7 +204,6 @@ class Piece:
 @dataclass
 class EliminationConfig:
     coloring_backend: str = "heuristic"
-    exact_threshold: int = 18
     mark_prefix: str = "Q"
 
 
@@ -383,7 +337,6 @@ class EliminationResult:
             forest=encoded,
             sigma=sigma,
             counter=counter,
-            modulus=self.b,
         )
         self._pieces[key] = piece
         return piece
@@ -506,12 +459,7 @@ def eliminate_one(
 
     k = len(xvars)
     p = (k + 1) * len(compositions)
-    coloring = compute_p_centered(
-        gaifman(m),
-        p + 1,
-        backend=config.coloring_backend,
-        exact_threshold=config.exact_threshold,
-    )
+    coloring = compute_p_centered(gaifman(m), p + 1, backend=config.coloring_backend)
 
     classes: Dict[int, List[int]] = {}
     for v in m.domain:
@@ -660,7 +608,6 @@ def _rewrite(
             stage = next(stage_counter)
             stage_config = EliminationConfig(
                 coloring_backend=config.coloring_backend,
-                exact_threshold=config.exact_threshold,
                 mark_prefix=f"{config.mark_prefix}{stage}_",
             )
             res = eliminate_one(
@@ -766,8 +713,5 @@ def count_definable(
                 "count_definable: falling back to the naive counter (%s)", exc
             )
         else:
-            var = fv[0]
-            return sum(
-                1 for v in m.domain if eval_naive(run.m_star, run.zeta, {var: v})
-            )
+            return sum(1 for v in m.domain if run.eval({fv[0]: v}))
     return count_naive(m, phi)

@@ -21,7 +21,7 @@ import itertools
 import logging
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 logger = logging.getLogger("modcheck.matrix")
 
@@ -215,12 +215,6 @@ class SetRankMatrix:
         for i, ls in self.row_class.get(d, {}).items():
             out.setdefault(ls, []).append(i)
         return {ls: tuple(sorted(rows)) for ls, rows in out.items()}
-
-    def col_marks(self, d: int) -> Dict[FrozenSet[int], Tuple[int, ...]]:
-        """The V family for value d: mark subset -> columns carrying it."""
-        return {
-            ls: tuple(sorted(cols)) for ls, cols in self.col_sets.get(d, {}).items()
-        }
 
     def query(self, d: int, i: int, j: int) -> bool:
         ls = self.row_class.get(d % self.p, {}).get(i)

@@ -9,7 +9,7 @@ plain-text graph file format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -212,9 +212,6 @@ class GuidedStructure:
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         return tuple(sorted(self._adj[v]))
-
-    def has_mark(self, name: str, v: int) -> bool:
-        return v in self._mark_sets()[name]
 
     def _mark_sets(self) -> Dict[str, frozenset]:
         cached = getattr(self, "_mark_set_cache", None)

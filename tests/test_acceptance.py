@@ -25,6 +25,7 @@ The criteria, in order:
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -529,3 +530,18 @@ def test_criterion_8_scaling_smoke_report():
         f"criterion 8 (non-gating): vertices {data['vertices']}, per-doubling "
         f"wall-time ratios {ratios}, all <= 2.5: {data['within_threshold']}"
     )
+
+
+def test_oracle_sweep_script_finds_no_mismatch():
+    """The standalone differential sweep runs and reports no disagreement
+    between the pipeline and the naive evaluator."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "oracle_sweep.py"), "--instances", "20", "--json"],
+        capture_output=True, text=True, timeout=600, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["instances"] == 20
+    assert data["mismatches"] == []

@@ -475,6 +475,9 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["selftest", "--backend", "exact"])  # no coloring to choose
+    assert info.value.code == 2
 
 
 def test_module_entrypoint_runs_as_a_subprocess(c4):

@@ -7,29 +7,26 @@ import random
 
 import pytest
 
-from modcheck.coloring import compute_p_centered, optimal_elimination_forest
+from modcheck.coloring import optimal_elimination_forest
 from modcheck.elimination import (
-    EliminationConfig,
     UnsupportedFragmentError,
     ZetaFormula,
-    apply_composition,
     color_type_of,
     count_definable,
     eliminate_all,
     eliminate_one,
     eval_pipeline,
     residue_distributions,
-    rho_restrict,
     suffix_closure,
-    theta,
 )
-from modcheck.forest_codec import forest_structure
+from modcheck.forest_codec import forest_structure, pullback_IS
+from modcheck.forest_eval import eliminate_mod_on_forest
 from modcheck.logic import (
-    And,
     BoolConst,
     MarkAtom,
     ModExists,
     Term,
+    and_all,
     collect_term_tuples,
     count_naive,
     count_witnesses,
@@ -129,95 +126,30 @@ def test_color_type_of_matches_direct_recomputation():
             assert got == tuple(expect)
 
 
-def _colored_expansion(m, p):
-    """Expand a structure with marks for the classes of a centered coloring."""
-    coloring = compute_p_centered(gaifman(m), p)
-    mark = lambda c: f"Vc{c}"
-    classes = {}
-    for v in m.domain:
-        classes.setdefault(coloring.colors[v], []).append(v)
-    m_plus = expand_monadic(m, {mark(c): vs for c, vs in classes.items()})
-    return m_plus, coloring.colors, mark, classes
-
-
-def test_theta_singleton_composition_is_one_mark_atom():
-    t = (3,)
-    phi = theta(t, [()], "x", lambda c: f"Vc{c}")
-    assert phi == MarkAtom("Vc3", Term("x"))
-
-
-def test_theta_accepts_exactly_the_vertices_of_that_type():
-    rng = random.Random(11)
-    for _ in range(10):
-        m = random_guided_structure(rng, 8, family="forest", n_funcs=1)
-        comps = suffix_closure([(1,), (1, 1)])
-        m_plus, colors, mark, _ = _colored_expansion(m, len(comps) + 1)
-        types = {v: color_type_of(m_plus, colors, comps, v) for v in m.domain}
-        for v in m.domain:
-            # the vertex's own type accepts it
-            assert eval_naive(m_plus, theta(types[v], comps, "x", mark), {"x": v})
-        # a sweep over (vertex, candidate type) pairs matches the definition
-        for v in m.domain:
-            for t in set(types.values()):
-                got = eval_naive(m_plus, theta(t, comps, "x", mark), {"x": v})
-                assert got == (types[v] == t)
-
-
-def test_theta_rejects_mismatched_type_length():
-    with pytest.raises(ValueError):
-        theta((1, 2), [()], "x", lambda c: f"Vc{c}")
-
-
-def test_rho_restrict_no_arguments_guards_the_witness_only():
-    sig = Signature(("P0",), ())
-    rho = parse_formula("P0(y)", sig)
-    out = rho_restrict(rho, [], (2,), [()], [], "y", lambda c: f"Vc{c}")
-    assert out == And(MarkAtom("Vc2", Term("y")), rho)
-
-
-def test_rho_restrict_preserves_free_variables():
-    sig = Signature(("P0",), ("f0",))
-    rho = parse_formula("adj(f0(x), y) & P0(x2)", sig)
-    comps = suffix_closure(collect_term_tuples(rho))
-    out = rho_restrict(
-        rho, [(0, 0), (1, 1)], (0, 1), comps, ["x", "x2"], "y", lambda c: f"V{c}"
-    )
-    assert set(free_vars(out)) == {"x", "x2", "y"}
-    assert is_quantifier_free(out)
-
-
-def test_rho_restrict_requires_one_type_per_argument():
-    sig = Signature(("P0",), ())
-    rho = parse_formula("P0(y)", sig)
-    with pytest.raises(ValueError):
-        rho_restrict(rho, [(0,)], (0,), [()], [], "y", lambda c: f"V{c}")
-
-
 def test_guarded_body_bridges_whole_structure_and_piece():
-    """Satisfaction of the guarded body on the full expansion coincides with
-    type agreement plus satisfaction on the piece the types name."""
+    """A piece's type-guarded body holds on the full expansion exactly when
+    both vertices lie in the piece and the body holds on the piece itself."""
     rng = random.Random(23)
     checked_true = 0
     for trial in range(12):
         m = random_guided_structure(rng, 7, family=("maxdeg", "lowtd")[trial % 2], n_funcs=1)
         rho = random_quantifier_free(rng, m.signature, ["x", "y"], depth=2)
-        comps = suffix_closure(collect_term_tuples(rho))
-        m_plus, colors, mark, classes = _colored_expansion(m, 2 * len(comps) + 1)
-        types = {v: color_type_of(m_plus, colors, comps, v) for v in m.domain}
-        seen_types = sorted(set(types.values()))
+        while set(free_vars(rho)) != {"x", "y"}:
+            rho = random_quantifier_free(rng, m.signature, ["x", "y"], depth=2)
+        res = eliminate_one(m, 0, 2, rho, "y")
+        restricted = {}
         for v, w in itertools.product(m.domain, repeat=2):
-            for tbar0 in (types[v], seen_types[0]):
-                for tp in (types[w], seen_types[-1]):
-                    guarded = rho_restrict(rho, [tbar0], tp, comps, ["x"], "y", mark)
-                    lhs = eval_naive(m_plus, guarded, {"x": v, "y": w})
-                    used = sorted(set(tbar0) | set(tp))
-                    dom = sorted({u for c in used for u in classes.get(c, [])})
-                    inside = v in dom and w in dom
+            nu = {"x": v, "y": w}
+            for tbar in {res.type_of[v], 0}:
+                for t in {res.type_of[w], len(res.types) - 1}:
+                    piece = res.piece((tbar,), t)
+                    if piece.key not in restricted:
+                        restricted[piece.key] = restrict(res.m_star, piece.domain)
+                    lhs = eval_naive(res.m_star, piece.sigma, nu)
                     rhs = (
-                        types[v] == tbar0
-                        and types[w] == tp
-                        and inside
-                        and eval_naive(restrict(m_plus, dom), guarded, {"x": v, "y": w})
+                        v in piece.domain
+                        and w in piece.domain
+                        and eval_naive(restricted[piece.key], piece.sigma, nu)
                     )
                     assert lhs == rhs
                     checked_true += lhs
@@ -239,7 +171,7 @@ def test_clamped_function_can_fake_a_color_type_inside_a_piece():
     m_plus = expand_monadic(m, {mark(c): vs for c, vs in classes.items()})
     t_all_one = (1, 1, 1)
     assert color_type_of(m_plus, colors, comps, 0) != t_all_one
-    guard = theta(t_all_one, comps, "y", mark)
+    guard = and_all([MarkAtom(mark(c), Term("y", alpha)) for alpha, c in zip(comps, t_all_one)])
     assert not eval_naive(m_plus, guard, {"y": 0})
     piece = restrict(m_plus, [0, 2])  # the color-1 class; f(0) clamps to 0
     assert eval_naive(piece, guard, {"y": 0})  # the spurious acceptance
@@ -478,6 +410,37 @@ def test_piece_residue_marks_agree_with_the_counter():
             assert eval_naive(fs, residual, {"x": v}) == want
 
 
+@pytest.mark.parametrize("seed, text", [(None, "adj(x, f0(y))"), (61, "adj(x, y) | P0(f0(y))")])
+def test_piece_eliminated_equals_a_fresh_forest_elimination(seed, text):
+    """Materializing a residue through the piece's own counter gives the
+    marks and formula of a fresh elimination of the guard pulled back to the
+    forest vocabulary, for every piece and residue."""
+    if seed is None:
+        m = chain_structure(8)
+    else:
+        m = random_guided_structure(random.Random(seed), 8, family="forest", n_funcs=1)
+    b = 3
+    res = eliminate_one(m, 1, b, parse_formula(text, m.signature), "y")
+    assert len(res.types) >= 2
+    for tbar, t in itertools.product(range(len(res.types)), repeat=2):
+        piece = res.piece((tbar,), t)
+        pulled = pullback_IS(piece.sigma, piece.forest.signature, piece.height)
+        for c in range(b):
+            got_forest, got_zeta = piece.eliminated(c)
+            want_forest, want_zeta = eliminate_mod_on_forest(
+                piece.forest,
+                pulled,
+                c,
+                b,
+                yvar=piece.counter.yvar,
+                height_bound=piece.height,
+                mark_prefix=f"{piece.name}r{c}_",
+            )
+            assert repr(got_zeta) == repr(want_zeta)
+            assert got_forest.signature == want_forest.signature
+            assert got_forest.marks == want_forest.marks
+
+
 def test_residue_rejects_mismatched_argument_types():
     m = chain_structure(8)
     rho = parse_formula("adj(x, f0(y))", m.signature)
@@ -528,6 +491,8 @@ def test_unrealized_type_index_is_rejected():
     res = eliminate_one(m, 0, 2, rho, "y")
     with pytest.raises(ValueError):
         res.piece((0,), len(res.types))
+    with pytest.raises(ValueError, match="one argument type per argument"):
+        res.piece((), 0)
 
 
 # ---------------------------------------------------------------------------

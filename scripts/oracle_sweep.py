@@ -84,6 +84,7 @@ TEMPLATES = [
     ("Emod[{a},{b}] y . P1(f0(y))", (), 1),
     ("Emod[{a},{b}] y . (adj(f0(y), x) & P0(y))", ("x",), 1),
     ("Emod[{a},{b}] y . (f0(y) = x | adj(y, x2))", ("x", "x2"), 1),
+    ("Emod[{a},{b}] y . (adj(x, y) & adj(y, x2))", ("x", "x2"), 0),
 ]
 
 

@@ -258,15 +258,17 @@ class EliminationResult:
     type_of: Dict[int, int]
     prefix: str
     config: EliminationConfig
-    zeta: Formula = field(init=False)
     _classes: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     _pieces: Dict[Tuple[Tuple[int, ...], int], Piece] = field(default_factory=dict)
     _bases: Dict[Tuple[int, ...], tuple] = field(default_factory=dict)  # colors -> base
     _touched_args: Set[int] = field(default_factory=set)
     _touched_keys: Set[Tuple[Tuple[int, ...], int]] = field(default_factory=set)
 
-    def __post_init__(self):
-        self.zeta = ZetaFormula(self)
+    @property
+    def zeta(self) -> ZetaFormula:
+        """The residual formula, built on read: the result keeps no
+        reference to it, so the two form no reference cycle."""
+        return ZetaFormula(self)
 
     # -- mark naming ------------------------------------------------------
 
@@ -550,71 +552,70 @@ class PipelineResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _rewrite(
-    m: GuidedStructure,
-    phi: Formula,
-    config: EliminationConfig,
-    strict: bool,
-) -> PipelineResult:
+class _Rewriter:
     """Innermost-first elimination of modulo quantifiers.
 
     ``strict`` demands the modulo-prenex fragment (Boolean combinations and
     modulo quantifiers whose matrices are quantifier-free after inner
     eliminations) and raises on anything else; the lenient mode leaves
     offending layers in place for the naive evaluator and logs a notice.
+    The state lives on the instance, not in a recursive closure, so a
+    finished run is freed without the cycle collector.
     """
-    working = m
-    stages: List[EliminationResult] = []
-    report = RunReport()
-    stage_counter = itertools.count()
 
-    def rec(node: Formula) -> Formula:
-        nonlocal working
+    def __init__(self, m: GuidedStructure, config: EliminationConfig, strict: bool):
+        self.working = m
+        self.config = config
+        self.strict = strict
+        self.stages: List[EliminationResult] = []
+        self.report = RunReport()
+
+    def rec(self, node: Formula) -> Formula:
         if isinstance(node, (EdgeAtom, EqAtom, MarkAtom, BoolConst)):
             return node
         if isinstance(node, Not):
-            return Not(rec(node.sub))
+            return Not(self.rec(node.sub))
         if isinstance(node, And):
-            return And(rec(node.left), rec(node.right))
+            return And(self.rec(node.left), self.rec(node.right))
         if isinstance(node, Or):
-            return Or(rec(node.left), rec(node.right))
+            return Or(self.rec(node.left), self.rec(node.right))
         if isinstance(node, (Exists, Forall)):
             kind = "exists" if isinstance(node, Exists) else "forall"
-            if strict:
+            if self.strict:
                 raise UnsupportedFragmentError(
                     f"plain {kind} quantifier on {node.var!r} is outside the "
                     "modulo-prenex fragment",
                     node,
                 )
-            report.notices.append(
+            self.report.notices.append(
                 f"plain {kind} quantifier on {node.var!r} left to the naive evaluator"
             )
-            body = rec(node.body)
+            body = self.rec(node.body)
             return type(node)(node.var, body)
         if isinstance(node, ModExists):
-            body = rec(node.body)
+            body = self.rec(node.body)
             if not _plain_quantifier_free(body):
-                if strict:
+                if self.strict:
                     raise UnsupportedFragmentError(
                         f"matrix of the modulo quantifier on {node.var!r} is not "
                         "quantifier-free after inner eliminations",
                         node,
                     )
-                report.notices.append(
+                self.report.notices.append(
                     f"modulo quantifier on {node.var!r} left to the naive "
                     "evaluator (matrix not quantifier-free after inner eliminations)"
                 )
                 return ModExists(node.residue, node.modulus, node.var, body)
-            stage = next(stage_counter)
+            stage = len(self.stages)
             stage_config = EliminationConfig(
-                coloring_backend=config.coloring_backend,
-                mark_prefix=f"{config.mark_prefix}{stage}_",
+                coloring_backend=self.config.coloring_backend,
+                mark_prefix=f"{self.config.mark_prefix}{stage}_",
             )
             res = eliminate_one(
-                working, node.residue, node.modulus, body, node.var, stage_config
+                self.working, node.residue, node.modulus, body, node.var, stage_config
             )
-            stages.append(res)
-            working = res.m_star
+            self.stages.append(res)
+            self.working = res.m_star
             k = len(res.xvars)
             entry = StageReport(
                 stage=stage,
@@ -627,7 +628,7 @@ def _rewrite(
                 materialized_mark=None,
                 constant_folded=None,
             )
-            report.stages.append(entry)
+            self.report.stages.append(entry)
             if k == 0:
                 value = res.eval({})
                 entry.constant_folded = value
@@ -635,8 +636,8 @@ def _rewrite(
             if k == 1:
                 mark = f"{res.prefix}m"
                 xvar = res.xvars[0]
-                hits = [v for v in working.domain if res.eval({xvar: v})]
-                working = expand_monadic(working, {mark: hits})
+                hits = [v for v in self.working.domain if res.eval({xvar: v})]
+                self.working = expand_monadic(self.working, {mark: hits})
                 entry.materialized_mark = mark
                 return MarkAtom(mark, Term(xvar))
             return res.zeta
@@ -644,14 +645,23 @@ def _rewrite(
             f"unsupported formula node {type(node).__name__}", node
         )
 
-    zeta = rec(phi)
+
+def _rewrite(
+    m: GuidedStructure,
+    phi: Formula,
+    config: EliminationConfig,
+    strict: bool,
+) -> PipelineResult:
+    """Run a ``_Rewriter`` on ``phi`` and collect its result."""
+    rw = _Rewriter(m, config, strict)
+    zeta = rw.rec(phi)
     return PipelineResult(
         m=m,
-        m_star=working,
+        m_star=rw.working,
         phi=phi,
         zeta=zeta,
-        stages=tuple(stages),
-        report=report,
+        stages=tuple(rw.stages),
+        report=rw.report,
     )
 
 

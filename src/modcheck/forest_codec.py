@@ -11,9 +11,10 @@ forest plus marks is a lossless re-presentation: decode(encode(M, F)) == M.
 
 Formulas over the source vocabulary translate to formulas over the forest
 vocabulary (parent compositions, level marks, codec marks) via pullback_IS.
-The elimination pipeline tests acceptance on each piece itself, so
-pullback_IS serves materialization only: turning a piece's count into
-residue marks and a quantifier-free formula over the forest vocabulary.
+The elimination pipeline tests acceptance on each piece itself and
+materializes residues through the piece's own counter, so no program path
+calls pullback_IS: the tests use it to check a piece's residual formula
+against the pulled-back body, and the benchmark's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .coloring import EliminationForest
 from .logic import (

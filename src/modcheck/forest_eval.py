@@ -13,6 +13,11 @@ Three layers:
   split (untouched component / forced closure position / branch below a
   closure vertex), and eliminates one modulo quantifier into a
   quantifier-free formula over parent compositions and residue marks.
+
+A closure is described without building it: ``typed_shape_key`` records the
+exact subtree codes along each entry's root path and, per pair of entries,
+how many levels their root paths share.  The census memoizes acceptance by
+that key, and materialization writes its shape test from it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .coloring import EliminationForest
@@ -32,8 +37,6 @@ from .forest_codec import (
     level_mark_name,
 )
 from .logic import (
-    And,
-    BoolConst,
     EqAtom,
     Formula,
     MarkAtom,
@@ -61,14 +64,19 @@ def reset_case_counters() -> None:
 
 
 class _Index:
-    """Sorted vertices, roots, children lists and per-vertex letters (all
-    marks except levels) of one forest, computed once."""
+    """Sorted vertices, roots, children lists, root paths (vertices from the
+    root down, the vertex last) and per-vertex letters (all marks except
+    levels) of one forest, computed once."""
 
     def __init__(self, y: ColoredForest):
         self.forest = y.forest
         self.vertices: Tuple[int, ...] = y.forest.vertices()
         self.roots: Tuple[int, ...] = y.forest.roots()
         self.children: Dict[int, Tuple[int, ...]] = y.forest.children()
+        self.path: Dict[int, Tuple[int, ...]] = {}
+        for v in sorted(self.vertices, key=self.forest.level.__getitem__):
+            p = self.forest.parent[v]
+            self.path[v] = self.path[p] + (v,) if p != v else (v,)
         letters: Dict[int, List[str]] = {v: [] for v in self.vertices}
         for name in y.signature.unary_relations:
             for v in y.marks[name]:
@@ -93,7 +101,8 @@ class SubtreeTypeTable:
     With threshold=None codes are exact: equal codes iff the mark-preserving
     rooted subtrees are isomorphic.  With a threshold t and modulus B, child
     multiplicities are recorded as (min(count, t), count mod B), which is the
-    coarsening used by the pruning evaluator.
+    coarsening used by the pruning evaluator.  ``path[v]`` lists the codes
+    along v's root path, root first.
     """
 
     def __init__(self, y: ColoredForest, threshold: Optional[int] = None, modulus: int = 1, index: Optional[_Index] = None):
@@ -117,6 +126,9 @@ class SubtreeTypeTable:
                 tid = len(self._intern)
                 self._intern[key] = tid
             self.code[v] = tid
+        self.path: Dict[int, Tuple[int, ...]] = {
+            v: tuple(map(self.code.__getitem__, p)) for v, p in self.index.path.items()
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +240,8 @@ class TightLabeledForest:
         return TightLabeledForest.of(trees, upto)
 
 
-def _closure_vertices(forest: EliminationForest, vbar: Sequence[int]) -> List[int]:
-    out: Set[int] = set()
-    for v in vbar:
-        out.add(v)
-        out.update(forest.strict_ancestors(v))
-    return sorted(out)
+def _closure_vertices(idx: _Index, vbar: Sequence[int]) -> List[int]:
+    return sorted({u for v in vbar for u in idx.path[v]})
 
 
 def shape_at(y: ColoredForest, vbar: Sequence[int], index: Optional[_Index] = None) -> TightLabeledForest:
@@ -243,7 +251,7 @@ def shape_at(y: ColoredForest, vbar: Sequence[int], index: Optional[_Index] = No
     for v in vbar:
         if v not in forest.parent:
             raise ValueError(f"vertex {v} not in forest")
-    closure = set(_closure_vertices(forest, vbar))
+    closure = set(_closure_vertices(idx, vbar))
     labels_at: Dict[int, List[int]] = {}
     for i, v in enumerate(vbar, start=1):
         labels_at.setdefault(v, []).append(i)
@@ -257,25 +265,25 @@ def shape_at(y: ColoredForest, vbar: Sequence[int], index: Optional[_Index] = No
 
 
 def typed_shape_key(codes: SubtreeTypeTable, vbar: Sequence[int]) -> tuple:
-    """Canonical key of the closure with exact subtree codes as letters.
+    """Canonical key of the closure of vbar with exact subtree codes: the
+    codes along each entry's root path (root first), and for each pair of
+    entries i < j the number of levels their root paths share.
 
-    Tuples with equal keys are related by a forest automorphism, so any
-    formula value at them agrees.
+    Paths and shared levels rebuild the labeled closure, and equal exact
+    codes extend a match of closures to a forest automorphism, so tuples
+    with equal keys are automorphic and any formula value at them agrees.
     """
-    idx = codes.index
-    forest = idx.forest
-    closure = set(_closure_vertices(forest, vbar))
-    labels_at: Dict[int, List[int]] = {}
-    for i, v in enumerate(vbar, start=1):
-        labels_at.setdefault(v, []).append(i)
-
-    def build(v: int) -> PatternNode:
-        kids = [build(c) for c in idx.children[v] if c in closure]
-        return make_pattern_node((codes.code[v],), labels_at.get(v, ()), kids)
-
-    roots = [v for v in sorted(closure) if forest.parent[v] == v]
-    trees = tuple(sorted((build(r) for r in roots), key=lambda t: t.key()))
-    return tuple(t.key() for t in trees)
+    paths = codes.index.path
+    shared: List[int] = []
+    for i, u in enumerate(vbar):
+        pu = paths[u]
+        for v in vbar[i + 1 :]:
+            pv = paths[v]
+            n, top = 0, min(len(pu), len(pv))
+            while n < top and pu[n] == pv[n]:
+                n += 1
+            shared.append(n)
+    return tuple(codes.path[v] for v in vbar), tuple(shared)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +300,9 @@ def _kept_count(n: int, threshold: int, modulus: int) -> int:
 def _prune(y: ColoredForest, table: SubtreeTypeTable, anchors: Sequence[int]) -> Tuple[ColoredForest, Dict[int, int]]:
     """Bounded-size forest satisfying the same formulas at the anchors."""
     idx = table.index
-    forest = idx.forest
-    anchored: Set[int] = set()
-    for a in anchors:
-        anchored.add(a)
-        anchored.update(forest.strict_ancestors(a))
+    anchored = set(_closure_vertices(idx, anchors))
 
-    vertex_marks: Dict[int, List[tuple]] = {v: [] for v in forest.vertices()}
+    vertex_marks: Dict[int, List[tuple]] = {v: [] for v in idx.vertices}
     for name in y.signature.unary_relations:
         for v in y.marks[name]:
             vertex_marks[v].append(("m", name))
@@ -346,7 +350,7 @@ def _prune(y: ColoredForest, table: SubtreeTypeTable, anchors: Sequence[int]) ->
             for _ in range(keep):
                 emit(rep, new_parent, lvl)
 
-    emit_children(forest.roots(), None, 1)
+    emit_children(idx.roots, None, 1)
     pruned = ColoredForest(
         EliminationForest(parent, level),
         y.signature,
@@ -503,7 +507,7 @@ def count_instances_mod(y: ColoredForest, pattern: TightLabeledForest, vbar: Seq
     f2 = pattern.restrict_labels(k)
     if shape_at(y, vbar, idx) != f2:
         return 0
-    closure = _closure_vertices(forest, vbar)
+    closure = _closure_vertices(idx, vbar)
 
     path = pattern.label_path(k + 1)
     witness_node = path[-1]
@@ -568,27 +572,21 @@ class ForestTables:
     """Formula-independent census tables of one forest, shareable by counters:
     exact subtree codes and, for every realized descending code-path, its
     occurrences below each vertex (``down``, listed per vertex in
-    ``paths_from``) and from the roots (``n_table``)."""
+    ``paths_from``) and from the roots (``n_table``), both read off the
+    vertices' root paths."""
 
     def __init__(self, y: ColoredForest):
         self.index = _Index(y)
         self.codes = SubtreeTypeTable(y, index=self.index)
-        forest = self.index.forest
-        code = self.codes.code
-        down: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        n_table: Dict[Tuple[int, ...], int] = {}
-        for w in self.index.vertices:
-            chain = [w] + list(forest.strict_ancestors(w))
-            for d in range(1, len(chain)):
-                q = tuple(code[chain[j]] for j in range(d - 1, -1, -1))
-                key = (chain[d], q)
-                down[key] = down.get(key, 0) + 1
-            full = tuple(code[chain[j]] for j in range(len(chain) - 1, -1, -1))
-            n_table[full] = n_table.get(full, 0) + 1
-        self.down = down
-        self.n_table = n_table
+        code_path = self.codes.path
+        self.down = Counter(
+            (path[d], code_path[w][d + 1 :])
+            for w, path in self.index.path.items()
+            for d in range(len(path) - 1)
+        )
+        self.n_table = Counter(code_path.values())
         paths_from: Dict[int, List[Tuple[int, ...]]] = {}
-        for (v, q) in down:
+        for (v, q) in self.down:
             paths_from.setdefault(v, []).append(q)
         self.paths_from = {v: sorted(qs) for v, qs in paths_from.items()}
 
@@ -602,8 +600,11 @@ class ModForestCounter:
 
     The census reads the forest's ``ForestTables``, built here unless shared
     ones are passed in; acceptance of ς on a witness class is decided once
-    per typed closure shape (tuples sharing a typed shape are automorphic,
-    so one representative suffices) and memoized per counter.  The forest
+    per typed closure shape and memoized per counter.  The memo key is
+    ``typed_shape_key`` of (x̄, w): the exact codes along each entry's root
+    path and the levels each pair of root paths shares.  Tuples with equal
+    keys are automorphic, so one representative suffices, and
+    materialization writes ζ's shape test from the same key.  The forest
     structure is built only for the default acceptance test.
     """
 
@@ -687,7 +688,7 @@ class ModForestCounter:
 
     def _closure_data(self, vbar: Tuple[int, ...]):
         forest = self.index.forest
-        closure = _closure_vertices(forest, vbar)
+        closure = _closure_vertices(self.index, vbar)
         cset = set(closure)
         pinned: Dict[int, List[int]] = {
             s: [c for c in self.index.children[s] if c in cset] for s in closure
@@ -779,39 +780,28 @@ class ModForestCounter:
             total, terms = self._residue_at(vbar)
             if total != c:
                 continue
-            closure, pinned, closure_roots = self._closure_data(vbar)
-            # terms of the position vocabulary: each closure vertex as a
-            # parent composition of the first variable that reaches it
-            forest = self.index.forest
+            code_paths, shared = key
+            levels = [len(q) for q in code_paths]
+            conj: List[Formula] = [
+                MarkAtom(level_mark_name(lvl), Term(x)) for x, lvl in zip(self.xvars, levels)
+            ]
+            for (i, j), meet in zip(itertools.combinations(range(k), 2), shared):
+                xi, xj, li, lj = self.xvars[i], self.xvars[j], levels[i], levels[j]
+                if meet >= 1:
+                    conj.append(EqAtom(_pi_term(xi, li - meet), _pi_term(xj, lj - meet)))
+                if meet < min(li, lj):
+                    conj.append(Not(EqAtom(_pi_term(xi, li - meet - 1), _pi_term(xj, lj - meet - 1))))
+            # each closure vertex as a parent composition of the first entry
+            # whose root path reaches it, with its code mark
             pos_term: Dict[int, Term] = {}
-            for i, v in enumerate(vbar):
-                lvl = forest.level[v]
-                for steps in range(lvl):
-                    u = v
-                    for _ in range(steps):
-                        u = forest.parent[u]
+            for x, v, q in zip(self.xvars, vbar, code_paths):
+                path = self.index.path[v]
+                for d, u in enumerate(path):
                     if u not in pos_term:
-                        pos_term[u] = _pi_term(self.xvars[i], steps)
-            conj: List[Formula] = []
-            for i, v in enumerate(vbar):
-                conj.append(MarkAtom(level_mark_name(forest.level[v]), Term(self.xvars[i])))
-            for i in range(k):
-                for j in range(i + 1, k):
-                    vi, vj = vbar[i], vbar[j]
-                    li, lj = forest.level[vi], forest.level[vj]
-                    meet = self._meet_level(vi, vj)
-                    if meet >= 1:
-                        conj.append(
-                            EqAtom(_pi_term(self.xvars[i], li - meet), _pi_term(self.xvars[j], lj - meet))
-                        )
-                    nxt = meet + 1
-                    if nxt <= min(li, lj):
-                        conj.append(
-                            Not(EqAtom(_pi_term(self.xvars[i], li - nxt), _pi_term(self.xvars[j], lj - nxt)))
-                        )
-            for v in closure:
-                used_codes.add(self.codes.code[v])
-                conj.append(MarkAtom(f"{mark_prefix}Code{self.codes.code[v]}", pos_term[v]))
+                        pos_term[u] = _pi_term(x, len(path) - 1 - d)
+                        used_codes.add(q[d])
+                        conj.append(MarkAtom(f"{mark_prefix}Code{q[d]}", pos_term[u]))
+            _, pinned, closure_roots = self._closure_data(vbar)
             # residue reads at the contributing positions (constant per shape)
             for term in terms:
                 if term[0] == "C":
@@ -834,15 +824,6 @@ class ModForestCounter:
         zeta = or_all(disjuncts)
         y_star = self._expand_forest(used_codes, used_paths, mark_prefix)
         return y_star, zeta
-
-    def _meet_level(self, u: int, v: int) -> int:
-        forest = self.index.forest
-        cu = [u] + list(forest.strict_ancestors(u))
-        cv = set([v] + list(forest.strict_ancestors(v)))
-        for x in cu:
-            if x in cv:
-                return forest.level[x]
-        return 0
 
     def _expand_forest(
         self,

@@ -20,7 +20,7 @@ variable is bound twice along a root-to-leaf path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .structures import GuidedStructure, Signature
 
@@ -177,19 +177,19 @@ def atom_terms(phi: Formula) -> Tuple[Term, ...]:
 def free_vars(phi: Formula) -> Tuple[str, ...]:
     """Free variables in order of first occurrence."""
     seen: List[str] = []
-
-    def rec(node: Formula, bound: frozenset):
-        for t in atom_terms(node):
-            if t.var not in bound and t.var not in seen:
-                seen.append(t.var)
-        if isinstance(node, (Exists, Forall, ModExists)):
-            rec(node.body, bound | {node.var})
-        else:
-            for c in children(node):
-                rec(c, bound)
-
-    rec(phi, frozenset())
+    _collect_free_vars(phi, frozenset(), seen)
     return tuple(seen)
+
+
+def _collect_free_vars(node: Formula, bound: frozenset, seen: List[str]) -> None:
+    for t in atom_terms(node):
+        if t.var not in bound and t.var not in seen:
+            seen.append(t.var)
+    if isinstance(node, (Exists, Forall, ModExists)):
+        _collect_free_vars(node.body, bound | {node.var}, seen)
+    else:
+        for c in children(node):
+            _collect_free_vars(c, bound, seen)
 
 
 def quantifier_depth(phi: Formula) -> int:

@@ -1,9 +1,11 @@
 """Tests for modulo-counting quantifier elimination over guided structures."""
 
+import gc
 import itertools
 import json
 import logging
 import random
+import weakref
 
 import pytest
 
@@ -591,6 +593,30 @@ def test_eliminate_all_top_level_two_argument_quantifier():
     for v, w in itertools.product(m.domain, repeat=2):
         nu = {"x": v, "y": w}
         assert run.eval(nu) == eval_naive(m, phi, nu)
+
+
+def test_finished_pipeline_is_freed_without_the_cycle_collector():
+    # with the collector off, dropping a run must free its stages and every
+    # piece they built: no reference cycle may keep them alive
+    rng = random.Random(107)
+    m = random_guided_structure(rng, 8, family="maxdeg", n_funcs=1)
+    texts = ("Emod[1,2] y . adj(x, y)", "Emod[0,2] z . (adj(x, z) & adj(y, z))")
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            phi = parse_formula(text, m.signature)
+            run = eliminate_all(m, phi)
+            fvs = free_vars(phi)
+            for vbar in itertools.islice(itertools.product(m.domain, repeat=len(fvs)), 6):
+                run.eval(dict(zip(fvs, vbar)))
+            refs = [weakref.ref(stage) for stage in run.stages]
+            refs += [weakref.ref(p) for stage in run.stages for p in stage._pieces.values()]
+            assert len(refs) > len(run.stages), "the run built no piece"
+            del run
+            assert [r() for r in refs] == [None] * len(refs), text
+    finally:
+        gc.enable()
 
 
 def test_eliminate_all_random_nested_agreement():

@@ -2,7 +2,7 @@
 
 import itertools
 import random
-import time
+import sys
 
 import pytest
 
@@ -250,6 +250,49 @@ def test_typed_shape_key_is_automorphism_invariant():
     codes = SubtreeTypeTable(y)
     assert typed_shape_key(codes, (1,)) == typed_shape_key(codes, (2,))
     assert typed_shape_key(codes, (1,)) != typed_shape_key(codes, (0,))
+    assert typed_shape_key(codes, (1, 2)) == typed_shape_key(codes, (2, 1))
+    # equal root paths, but one vertex twice is not two siblings
+    assert typed_shape_key(codes, (1, 1)) != typed_shape_key(codes, (1, 2))
+
+
+def tree_shape_key(codes, vbar):
+    """The closure of vbar as canonical PatternNode trees, exact subtree
+    codes as letters: the reference partition for typed_shape_key."""
+    idx = codes.index
+    forest = idx.forest
+    closure = set(vbar).union(*(forest.strict_ancestors(v) for v in vbar))
+    labels_at = {}
+    for i, v in enumerate(vbar, start=1):
+        labels_at.setdefault(v, []).append(i)
+
+    def build(v):
+        kids = [build(c) for c in idx.children[v] if c in closure]
+        return make_pattern_node((codes.code[v],), labels_at.get(v, ()), kids)
+
+    roots = [v for v in sorted(closure) if forest.parent[v] == v]
+    return tuple(sorted(build(r).key() for r in roots))
+
+
+def test_typed_shape_key_partitions_tuples_like_the_closure_tree():
+    # marked forests, then nearly unmarked ones, where many tuples are
+    # automorphic; every tuple of length 1-3, repeats allowed
+    rng = random.Random(61)
+    forests = [random_colored_forest(rng, rng.randint(1, 8), height=4) for _ in range(75)]
+    forests += [
+        random_colored_forest(rng, rng.randint(2, 8), height=3, n_marks=1, mark_prob=0.05)
+        for _ in range(75)
+    ]
+    checked = 0
+    for y in forests:
+        codes = SubtreeTypeTable(y)
+        for k in (1, 2, 3):
+            tuples = list(itertools.product(y.forest.vertices(), repeat=k))
+            flat = [typed_shape_key(codes, t) for t in tuples]
+            tree = [tree_shape_key(codes, t) for t in tuples]
+            # equal partitions: the joint key has no more classes than either
+            assert len(set(flat)) == len(set(zip(flat, tree))) == len(set(tree)), (y, k)
+            checked += len(tuples)
+    assert checked >= 20000
 
 
 def test_pattern_validation():
@@ -378,17 +421,32 @@ def test_eval_forest_scales_linearly():
         marks = {"P0": tuple(v for v in range(n) if rng.random() < 0.4)}
         return ColoredForest(EliminationForest(parent, level), sig1, marks)
 
-    def best_time(n):
+    def work(n):
+        # Python calls and lines that eval_forest runs: a work count that
+        # does not depend on the speed of the machine
         y = single_tree(random.Random(23), n)
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            eval_forest(y, phi, height_bound=3)
-            best = min(best, time.perf_counter() - t0)
-        return best
+        events = 0
 
-    t_small, t_big = best_time(4000), best_time(8000)
-    assert t_big / t_small <= 2.5, (t_small, t_big)
+        def on_call(frame, event, arg):
+            nonlocal events
+            events += 1
+            return on_line
+
+        def on_line(frame, event, arg):
+            nonlocal events
+            events += event == "line"
+            return on_line
+
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            eval_forest(y, phi, height_bound=3)
+        finally:
+            sys.settrace(previous)
+        return events
+
+    small, big = work(4000), work(8000)
+    assert big / small <= 2.5, (small, big)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .structures import Graph, GuidedStructure, gaifman
+from .structures import Graph, GuidedStructure, degeneracy_order, gaifman
 
 
 class NotCenteredError(ValueError):
@@ -385,25 +385,10 @@ def validate_p_centered(g: Graph, coloring: CenteredColoring, p: Optional[int] =
 # ---------------------------------------------------------------------------
 
 
-def _smallest_last_order(g: Graph) -> List[int]:
-    deg = {v: len(g.adj[v]) for v in g.vertices}
-    alive = set(g.vertices)
-    order = []
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        order.append(v)
-        alive.remove(v)
-        for u in g.adj[v]:
-            if u in alive:
-                deg[u] -= 1
-    order.reverse()
-    return order
-
-
 def _greedy_distance_coloring(g: Graph, radius: int) -> CenteredColoring:
     """Greedy along a degeneracy order, refusing color reuse within a radius."""
     colors: Dict[int, int] = {}
-    for v in _smallest_last_order(g):
+    for v in reversed(degeneracy_order(g.adj)[0]):
         forbidden = set()
         frontier = {v}
         seen = {v}

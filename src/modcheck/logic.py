@@ -505,7 +505,7 @@ def eval_naive(m: GuidedStructure, phi: Formula, valuation: Optional[Dict[str, i
     """
     nu = dict(valuation or {})
     for var, v in nu.items():
-        if v not in set(m.domain):
+        if not m.has_vertex(v):
             raise ValueError(f"valuation sends {var!r} outside the domain")
     return _eval(m, phi, nu)
 

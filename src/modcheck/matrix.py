@@ -13,6 +13,14 @@ The expression evaluator works with two structured representations — sparse
 dictionaries and low-rank term lists (the mark algebra of set-rank
 constants) — so products against set-rank constants never materialize dense
 intermediates.
+
+The public ``SparseFieldMatrix`` constructor checks the field and every index
+and reduces every value mod p, since parsed and caller-supplied entries may
+be anything.  The matrices the evaluator computes itself (products, sums,
+Hadamard products, transposes, scalings and materializations) are built from
+values it has already reduced at indices it has already checked, so they go
+through ``SparseFieldMatrix._computed``, which only drops zeros; checking
+them again would cost as much as computing them.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ import logging
 import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+
+from .structures import degeneracy_order
 
 logger = logging.getLogger("modcheck.matrix")
 
@@ -71,6 +81,21 @@ class SparseFieldMatrix:
         self.n = n
         self.entries: Dict[Tuple[int, int], int] = norm
 
+    @classmethod
+    def _computed(
+        cls, p: int, n: int, entries: Dict[Tuple[int, int], int]
+    ) -> "SparseFieldMatrix":
+        """A computed result: ``entries`` is a fresh dict, values already in
+        [0, p), indices in range.  It is kept, without zero values; nothing
+        is checked or reduced."""
+        m = cls.__new__(cls)
+        m.p = p
+        m.n = n
+        if 0 in entries.values():
+            entries = {k: v for k, v in entries.items() if v}
+        m.entries = entries
+        return m
+
     def entry(self, i: int, j: int) -> int:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError(f"index ({i},{j}) outside [0,{self.n})")
@@ -85,7 +110,7 @@ class SparseFieldMatrix:
         return len(self.entries)
 
     def transpose(self) -> "SparseFieldMatrix":
-        return SparseFieldMatrix(
+        return SparseFieldMatrix._computed(
             self.p, self.n, {(j, i): v for (i, j), v in self.entries.items()}
         )
 
@@ -235,17 +260,13 @@ def build_marking(m: SparseFieldMatrix, r: int) -> SetRankMatrix:
     Per domain value d, a greedy row-order F_2 basis of the d-slice is
     chosen; each row is classed by the unique basis subset summing to it,
     and each subset's sum vector marks its one-columns.  Requires the
-    set-rank to fit the budget ``r``.
+    set-rank to fit the budget ``r``; each basis has the F_2-rank of its
+    slice as its size, so the bases give the set-rank.
     """
-    total = srank(m)
-    if total > r:
-        raise ValueError(f"set-rank {total} exceeds the budget {r}")
+    slices: Dict[int, List[int]] = {}
     basis: Dict[int, Tuple[int, ...]] = {}
-    row_class: Dict[int, Dict[int, FrozenSet[int]]] = {}
-    col_sets: Dict[int, Dict[FrozenSet[int], FrozenSet[int]]] = {}
     for d in m.domain():
-        sl = slice_matrix(m, d)
-        bit_rows = _bit_rows(sl)
+        bit_rows = _bit_rows(slice_matrix(m, d))
         chosen: List[int] = []
         reduced: Dict[int, int] = {}
         for row in bit_rows:
@@ -258,7 +279,15 @@ def build_marking(m: SparseFieldMatrix, r: int) -> SetRankMatrix:
                     reduced[pivot] = probe
                     chosen.append(row)
                     break
+        slices[d] = bit_rows
         basis[d] = tuple(chosen)
+    total = sum(len(chosen) for chosen in basis.values())
+    if total > r:
+        raise ValueError(f"set-rank {total} exceeds the budget {r}")
+    row_class: Dict[int, Dict[int, FrozenSet[int]]] = {}
+    col_sets: Dict[int, Dict[FrozenSet[int], FrozenSet[int]]] = {}
+    for d, bit_rows in slices.items():
+        chosen = basis[d]
         sums: Dict[int, FrozenSet[int]] = {}
         for size in range(len(chosen) + 1):
             for subset in itertools.combinations(range(1, len(chosen) + 1), size):
@@ -455,19 +484,28 @@ def _lowrank_entry(terms, i: int, j: int, p: int) -> int:
 
 
 def _materialize_lowrank(terms, p: int, n: int) -> SparseFieldMatrix:
+    """Sum of the terms' outer products, each term's nonzero columns listed
+    once; a single term is written row by row without accumulation."""
+    if len(terms) == 1:
+        ((u, v, c),) = terms
+        cols = [(j, vj % p) for j, vj in enumerate(v) if vj % p]
+        out: Dict[Tuple[int, int], int] = {}
+        for i, ui in enumerate(u):
+            cu = (c * ui) % p
+            if cu:
+                out.update({(i, j): (cu * vj) % p for j, vj in cols})
+        return SparseFieldMatrix._computed(p, n, out)
     acc: Dict[Tuple[int, int], int] = {}
     for u, v, c in terms:
-        for i in range(n):
-            ui = u[i] % p
-            if not ui:
-                continue
+        cols = [(j, vj % p) for j, vj in enumerate(v) if vj % p]
+        for i, ui in enumerate(u):
             cu = (c * ui) % p
-            for j in range(n):
-                vj = v[j] % p
-                if vj:
-                    key = (i, j)
-                    acc[key] = (acc.get(key, 0) + cu * vj) % p
-    return SparseFieldMatrix(p, n, acc)
+            if not cu:
+                continue
+            for j, vj in cols:
+                key = (i, j)
+                acc[key] = (acc.get(key, 0) + cu * vj) % p
+    return SparseFieldMatrix._computed(p, n, acc)
 
 
 def support_degeneracy(m: SparseFieldMatrix) -> int:
@@ -478,17 +516,7 @@ def support_degeneracy(m: SparseFieldMatrix) -> int:
             continue
         adj.setdefault(i, set()).add(j)
         adj.setdefault(j, set()).add(i)
-    deg = {v: len(ns) for v, ns in adj.items()}
-    out = 0
-    live = dict(adj)
-    while live:
-        v = min(live, key=lambda x: (deg[x], x))
-        out = max(out, deg[v])
-        for w in live[v]:
-            live[w].discard(v)
-            deg[w] -= 1
-        del live[v]
-    return out
+    return degeneracy_order(adj)[1]
 
 
 DEGENERACY_WARN_THRESHOLD = 8
@@ -582,13 +610,15 @@ def eval_expr(
         c %= p
         tag, payload = val
         if c == 0:
-            return ("sparse", SparseFieldMatrix(p, n, {}))
+            return ("sparse", SparseFieldMatrix._computed(p, n, {}))
         if tag == "scalar":
             return ("scalar", (payload * c) % p)
         if tag == "sparse":
             return (
                 "sparse",
-                SparseFieldMatrix(p, n, {k: v * c for k, v in payload.entries.items()}),
+                SparseFieldMatrix._computed(
+                    p, n, {k: (v * c) % p for k, v in payload.entries.items()}
+                ),
             )
         return ("lowrank", tuple((u, v, (t * c) % p) for u, v, t in payload))
 
@@ -636,7 +666,7 @@ def eval_expr(
             for j, vb in row.items():
                 key = (i, j)
                 acc[key] = (acc.get(key, 0) + va * vb) % p
-        return ("sparse", SparseFieldMatrix(p, n, acc))
+        return ("sparse", SparseFieldMatrix._computed(p, n, acc))
 
     def matadd(a, b):
         if a[0] == "lowrank" and b[0] == "lowrank":
@@ -645,7 +675,7 @@ def eval_expr(
         acc = dict(am.entries)
         for k, v in bm.entries.items():
             acc[k] = (acc.get(k, 0) + v) % p
-        return ("sparse", SparseFieldMatrix(p, n, acc))
+        return ("sparse", SparseFieldMatrix._computed(p, n, acc))
 
     def hadamard(a, b):
         if a[0] == "lowrank" and b[0] == "lowrank":
@@ -664,7 +694,7 @@ def eval_expr(
                 (i, j): (v * _lowrank_entry(b[1], i, j, p)) % p
                 for (i, j), v in am.entries.items()
             }
-        return ("sparse", SparseFieldMatrix(p, n, acc))
+        return ("sparse", SparseFieldMatrix._computed(p, n, acc))
 
     def transpose(val):
         tag, payload = val
@@ -695,7 +725,8 @@ def eval_expr(
                     cols = node.matrix.col_sets[d].get(ls, frozenset())
                     if not cols:
                         continue
-                    u = tuple(1 if i in set(rows) else 0 for i in range(n))
+                    row_set = set(rows)
+                    u = tuple(1 if i in row_set else 0 for i in range(n))
                     v = tuple(1 if j in cols else 0 for j in range(n))
                     terms.append((u, v, d % p))
             return cap(tuple(terms))

@@ -9,8 +9,9 @@ plain-text graph file format.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
 class GraphFormatError(ValueError):
@@ -123,6 +124,34 @@ class Graph:
         return len(self.components()) <= 1
 
 
+def degeneracy_order(adj: Mapping[int, Iterable[int]]) -> Tuple[List[int], int]:
+    """Smallest-last peel of a symmetric adjacency without self-loops.
+
+    Repeatedly removes a live vertex of least live degree, the smaller id on
+    ties.  Returns the removal order and the degeneracy (the largest degree
+    at removal).  A heap with lazy deletion holds one current (degree, id)
+    entry per live vertex, so the peel takes O((n + m) log n).
+    """
+    deg = {v: len(ns) for v, ns in adj.items()}
+    heap = [(d, v) for v, d in deg.items()]
+    heapq.heapify(heap)
+    removed = set()
+    order: List[int] = []
+    out = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in removed or d != deg[v]:
+            continue  # stale: v is gone or its degree fell since the push
+        removed.add(v)
+        order.append(v)
+        out = max(out, d)
+        for w in adj[v]:
+            if w not in removed:
+                deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
+    return order, out
+
+
 class GuidedStructure:
     """Colored graph with total unary functions, each fixing or following an edge.
 
@@ -206,6 +235,9 @@ class GuidedStructure:
             f"GuidedStructure(n={len(self.domain)}, edges={len(self.edges)}, "
             f"marks={list(self.marks)}, functions={list(self.functions)})"
         )
+
+    def has_vertex(self, v: int) -> bool:
+        return v in self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj.get(u, frozenset())

@@ -4,13 +4,17 @@ Complementing a graph at a vertex toggles the adjacency between its
 neighbors.  Complementing at every vertex of an independent set is
 order-independent (each vertex of the set keeps its neighborhood throughout,
 so a pair is toggled exactly when an odd number of set members see both
-ends), which makes the set-complementation well defined.  A depth-k vertex
+ends), which makes the set-complementation well defined.  For the same
+reason it is one pass: every member's pairs are toggled on one edge set,
+read from the members' neighborhoods in the input graph, and one graph is
+built, in time linear in the graph plus the toggled pairs.  A depth-k vertex
 minor applies k such rounds — each round's set independent in the graph the
 previous rounds produced — followed by one final vertex deletion.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -48,11 +52,14 @@ def local_complement(g: Graph, v: int) -> Graph:
 
 
 def _check_independent(g: Graph, vertices: Sequence[int], stage: Optional[int]) -> None:
-    for idx, a in enumerate(vertices):
+    """Reject unknown vertices and report the first edge (a, b), a < b, in
+    sorted order; walks the members' neighborhoods, not the member pairs."""
+    members = set(vertices)
+    for a in vertices:
         if a not in g.adj:
             raise ValueError(f"unknown vertex {a}")
-        for b in vertices[idx + 1 :]:
-            if g.has_edge(a, b):
+        for b in g.adj[a]:
+            if b > a and b in members:
                 raise IndependenceError((a, b), stage)
 
 
@@ -60,10 +67,12 @@ def local_complement_set(g: Graph, independent: Iterable[int], stage: Optional[i
     """Complement at every vertex of an independent set (order immaterial)."""
     vertices = sorted(set(independent))
     _check_independent(g, vertices, stage)
-    out = g
+    if not vertices:
+        return g
+    edges = set(g.edges())
     for v in vertices:
-        out = local_complement(out, v)
-    return out
+        edges ^= set(itertools.combinations(g.adj[v], 2))
+    return Graph(g.vertices, edges)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Deterministic random generators shared across the test suite.
 
 Everything takes an explicit random.Random so failures reproduce from seeds.
+``trace_events`` counts work for the growth gates.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from modcheck.logic import (
@@ -25,6 +27,34 @@ from modcheck.logic import (
 from modcheck.coloring import EliminationForest
 from modcheck.forest_codec import ColoredForest
 from modcheck.structures import Graph, GuidedStructure, Signature
+
+
+def trace_events(fn, *args, **kwargs) -> int:
+    """Python call and line events that ``fn(*args, **kwargs)`` fires.
+
+    A work count that does not depend on the speed of the machine; work
+    inside a single C call (``x in some_list``, ``heapq.heappush``) fires no
+    event, so growth gates built on it see Python-level loops only.
+    """
+    events = 0
+
+    def on_call(frame, event, arg):
+        nonlocal events
+        events += 1
+        return on_line
+
+    def on_line(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.settrace(previous)
+    return events
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import sys
 
 import pytest
 
@@ -38,7 +37,7 @@ from modcheck.logic import (
 )
 from modcheck.structures import Signature
 
-from gens import random_colored_forest, random_formula, random_quantifier_free
+from gens import random_colored_forest, random_formula, random_quantifier_free, trace_events
 
 
 # ---------------------------------------------------------------------------
@@ -422,28 +421,8 @@ def test_eval_forest_scales_linearly():
         return ColoredForest(EliminationForest(parent, level), sig1, marks)
 
     def work(n):
-        # Python calls and lines that eval_forest runs: a work count that
-        # does not depend on the speed of the machine
         y = single_tree(random.Random(23), n)
-        events = 0
-
-        def on_call(frame, event, arg):
-            nonlocal events
-            events += 1
-            return on_line
-
-        def on_line(frame, event, arg):
-            nonlocal events
-            events += event == "line"
-            return on_line
-
-        previous = sys.gettrace()
-        sys.settrace(on_call)
-        try:
-            eval_forest(y, phi, height_bound=3)
-        finally:
-            sys.settrace(previous)
-        return events
+        return trace_events(eval_forest, y, phi, height_bound=3)
 
     small, big = work(4000), work(8000)
     assert big / small <= 2.5, (small, big)

@@ -41,6 +41,8 @@ from modcheck.matrix import (
 )
 from modcheck.structures import GuidedStructure, Signature
 
+from gens import random_max_degree_graph, trace_events
+
 
 def dense(m: SparseFieldMatrix) -> np.ndarray:
     out = np.zeros((m.n, m.n), dtype=np.int64)
@@ -98,6 +100,8 @@ def test_entries_are_normalized_modulo_p_and_zeros_dropped():
 def test_out_of_range_indices_are_rejected():
     with pytest.raises(ValueError):
         SparseFieldMatrix(3, 2, {(0, 2): 1})
+    with pytest.raises(ValueError):
+        SparseFieldMatrix(3, 2, {(-1, 0): 1})
     m = SparseFieldMatrix(3, 2, {})
     with pytest.raises(ValueError):
         m.entry(2, 0)
@@ -557,6 +561,76 @@ def test_support_degeneracy_goldens():
     assert support_degeneracy(SparseFieldMatrix(2, 5, {})) == 0
     diag = identity_matrix(2, 5)
     assert support_degeneracy(diag) == 0
+
+
+def min_peel_degeneracy(m: SparseFieldMatrix) -> int:
+    """The quadratic smallest-last peel: a min over the live vertices per step."""
+    adj = {}
+    for (i, j) in m.entries:
+        if i != j:
+            adj.setdefault(i, set()).add(j)
+            adj.setdefault(j, set()).add(i)
+    deg = {v: len(ns) for v, ns in adj.items()}
+    out = 0
+    live = dict(adj)
+    while live:
+        v = min(live, key=lambda x: (deg[x], x))
+        out = max(out, deg[v])
+        for w in live[v]:
+            live[w].discard(v)
+            deg[w] -= 1
+        del live[v]
+    return out
+
+
+def test_support_degeneracy_matches_the_min_peel():
+    rng = random.Random(71)
+    cases = [SparseFieldMatrix(3, 7, {}), identity_matrix(5, 9)]
+    for _ in range(200):
+        n = rng.randrange(1, 40)
+        cases.append(random_matrix(rng, rng.choice((2, 3, 257)), n, rng.uniform(0.0, 0.5)))
+    for m in cases:
+        assert support_degeneracy(m) == min_peel_degeneracy(m)
+
+
+def test_support_degeneracy_scales_linearly():
+    def work(n):
+        g = random_max_degree_graph(random.Random(29), n, max_deg=4)
+        m = SparseFieldMatrix(2, n, {e: 1 for e in g.edges()})
+        return trace_events(support_degeneracy, m)
+
+    small, big = work(2000), work(4000)
+    assert big / small <= 2.5, (small, big)
+
+
+def assert_computed(m: SparseFieldMatrix, p: int, n: int) -> None:
+    """The invariant of computed results: nonzero values below p, in range."""
+    assert (m.p, m.n) == (p, n)
+    for (i, j), v in m.entries.items():
+        assert 0 <= i < n and 0 <= j < n, (i, j)
+        assert 1 <= v < p, v
+
+
+def test_computed_results_hold_reduced_nonzero_in_range_entries():
+    rng = random.Random(73)
+    fixed = ("A * J + J * B", "t(A * J) + 3 * B", "A o B + 2 * A", "A * B + t(A)")
+    for trial in range(80):
+        p = rng.choice((2, 3, 5, 257))
+        n = rng.randrange(2, 12)
+        inputs = {name: random_matrix(rng, p, n) for name in ("A", "B", "C")}
+        srconsts = []
+        while len(srconsts) < 2:
+            cand = random_low_srank_matrix(rng, p, n, rects=3)
+            if srank(cand) <= 6:
+                srconsts.append(build_marking(cand, srank(cand)))
+        exprs = [
+            parse_expr(fixed[trial % len(fixed)]),
+            random_expr(rng, p, n, ("A", "B", "C"), srconsts, depth=4),
+            Add(Mul(SetRankConst(srconsts[0]), InputRef("A")), SetRankConst(srconsts[1])),
+            Scalar(p, SetRankConst(srconsts[0])),
+        ]
+        for expr in exprs:
+            assert_computed(eval_expr(expr, inputs).materialize(), p, n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from modcheck.structures import (
     GraphFormatError,
     GuidedStructure,
     Signature,
+    degeneracy_order,
     expand_monadic,
     gaifman,
     parse_graph,
@@ -184,3 +185,39 @@ def test_components_deterministic_order():
     comps = g.components()
     assert comps == sorted(comps, key=min)
     assert sorted(v for c in comps for v in c) == list(range(30))
+
+
+def min_peel(adj):
+    """The quadratic smallest-last peel: a min over the live vertices per step."""
+    deg = {v: len(ns) for v, ns in adj.items()}
+    alive = set(adj)
+    order, out = [], 0
+    while alive:
+        v = min(alive, key=lambda x: (deg[x], x))
+        order.append(v)
+        out = max(out, deg[v])
+        alive.remove(v)
+        for u in adj[v]:
+            if u in alive:
+                deg[u] -= 1
+    return order, out
+
+
+def test_degeneracy_order_equals_the_min_peel():
+    rng = random.Random(37)
+    graphs = [Graph([]), Graph(range(5))]
+    for _ in range(150):
+        n = rng.randrange(1, 40)
+        graphs.append(random_max_degree_graph(rng, n, max_deg=rng.randrange(1, 7)))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        graphs.append(Graph(range(0, 2 * n, 2), [(2 * u, 2 * v) for u, v in edges]))
+    for g in graphs:
+        assert degeneracy_order(g.adj) == min_peel(g.adj)
+
+
+def test_degeneracy_order_goldens():
+    assert degeneracy_order({}) == ([], 0)
+    star = Graph(range(5), [(0, j) for j in range(1, 5)])
+    assert degeneracy_order(star.adj) == ([1, 2, 3, 0, 4], 1)
+    k4 = Graph(range(4), [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    assert degeneracy_order(k4.adj) == ([0, 1, 2, 3], 3)

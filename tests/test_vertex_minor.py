@@ -16,6 +16,8 @@ from modcheck.vertex_minor import (
     parse_steps,
 )
 
+from gens import random_max_degree_graph, trace_events
+
 
 def gkey(g: Graph):
     return (g.vertices, tuple(g.edges()))
@@ -148,6 +150,32 @@ def test_set_complementation_is_order_independent():
             for v in perm:
                 out = local_complement(out, v)
             assert gkey(out) == want
+
+
+def test_set_complementation_equals_sequential_single_steps():
+    rng = random.Random(17)
+    for _ in range(150):
+        g = random_graph(rng, rng.randrange(1, 16), density=rng.uniform(0.05, 0.6))
+        ind = random_independent_set(rng, g, cap=rng.randrange(1, 8))
+        out = g
+        for v in ind:
+            out = local_complement(out, v)
+        assert gkey(local_complement_set(g, ind)) == gkey(out)
+
+
+def test_set_complementation_scales_linearly():
+    def work(n):
+        rng = random.Random(31)
+        g = random_max_degree_graph(rng, n, max_deg=4)
+        ind, blocked = [], set()
+        for v in rng.sample(range(n), n // 8):
+            if v not in blocked:
+                ind.append(v)
+                blocked.update(g.adj[v], (v,))
+        return trace_events(local_complement_set, g, ind)
+
+    small, big = work(2000), work(4000)
+    assert big / small <= 2.5, (small, big)
 
 
 def test_dependent_sets_are_rejected_with_the_offending_edge():

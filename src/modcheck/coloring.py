@@ -4,7 +4,14 @@ A coloring is p-centered when every connected subgraph either receives at
 least p colors or has some color on exactly one vertex.  Colorings whose every
 connected subgraph has a uniquely colored vertex ("fully centered") are
 p-centered for all p; depth levels of an elimination forest are such a
-coloring, which is how both construction backends here produce validity.
+coloring, which is how the exact backend produces validity.  The heuristic
+backend colors greedily so that no two vertices within a radius r share a
+color.  With r >= p - 1 that is p-centered by construction: a connected
+subgraph with p or more vertices holds a connected p-vertex subtree, whose
+vertices lie pairwise within distance p - 1 and so get p distinct colors,
+and a smaller one has all its vertices pairwise within distance p - 2, so
+each of its colors is unique.  Only the smaller radii it tries first are
+checked by the validator.
 
 Every forest here comes from one of two peels.  ``_peel_forest`` removes a
 chosen root from each component and peels the rest below it: a root of
@@ -409,18 +416,18 @@ def _greedy_distance_coloring(g: Graph, radius: int) -> CenteredColoring:
     return CenteredColoring(0, colors)
 
 
-# largest graph the heuristic backend's fallback hands to the exact forest
-EXACT_THRESHOLD = 18
-
-
 def compute_p_centered(g: Graph, p: int, backend: str = "heuristic") -> CenteredColoring:
     """A valid p-centered coloring; no promise on the number of colors.
 
     exact backend: depth levels of a minimum-height elimination forest.
-    heuristic backend: distance-constrained greedy attempts checked by the
-    validator with an escalating radius; on persistent failure, exact below
-    the size threshold, otherwise depth levels of a separator-guided forest
-    (centered by construction, so no validator pass is required).
+    heuristic backend: greedy distance colorings of radius 2 and then 3,
+    each kept if the validator accepts it, tried only while the radius is
+    below p - 1; otherwise the distance coloring of radius max(2, p - 1),
+    returned without validation because it is p-centered by construction.
+    Take a connected subgraph.  With p or more vertices it contains a
+    connected p-vertex subtree, whose vertices lie pairwise within distance
+    p - 1 and so all get distinct colors.  With fewer vertices, all of them
+    lie pairwise within distance p - 2, so every color on it is unique.
     """
     if p < 1:
         raise ValueError("p must be positive")
@@ -430,13 +437,14 @@ def compute_p_centered(g: Graph, p: int, backend: str = "heuristic") -> Centered
         return coloring_from_forest(optimal_elimination_forest(g), p)
     if backend != "heuristic":
         raise ValueError(f"unknown backend {backend!r}")
-    for radius in (2, 3, p + 1):
+    centered_radius = max(2, p - 1)
+    for radius in (2, 3):
+        if radius >= centered_radius:
+            break
         cand = CenteredColoring(p, _greedy_distance_coloring(g, radius).colors)
         if validate_p_centered(g, cand, p) is None:
             return cand
-    if len(g) <= EXACT_THRESHOLD:
-        return coloring_from_forest(optimal_elimination_forest(g), p)
-    return coloring_from_forest(heuristic_elimination_forest(g), p)
+    return CenteredColoring(p, _greedy_distance_coloring(g, centered_radius).colors)
 
 
 def forest_from_centered(m: GuidedStructure, coloring: CenteredColoring) -> EliminationForest:
@@ -444,7 +452,10 @@ def forest_from_centered(m: GuidedStructure, coloring: CenteredColoring) -> Elim
 
     Stage by stage each component must hold a uniquely colored vertex; that
     vertex (ties: smallest color, then smallest id) becomes the next root.
-    Raises NotCenteredError when some component has no unique color.
+    Raises NotCenteredError when some component has no unique color.  The
+    result is not validated again: every edge lies inside one component
+    when its first endpoint is removed, so the other endpoint is peeled
+    below it and every edge joins an ancestor to a descendant.
     """
     g = gaifman(m)
     violation, parent, level = _centered_peel(
@@ -452,6 +463,4 @@ def forest_from_centered(m: GuidedStructure, coloring: CenteredColoring) -> Elim
     )
     if violation is not None:
         raise NotCenteredError(violation)
-    forest = EliminationForest(parent, level)
-    forest.validate(g)
-    return forest
+    return EliminationForest(parent, level)

@@ -252,6 +252,17 @@ class GuidedStructure:
             self._mark_set_cache = cached
         return cached
 
+    def _marks_by_vertex(self) -> Dict[int, List[str]]:
+        """Marked vertex -> names of its marks in signature order, built once."""
+        cached = getattr(self, "_marks_by_vertex_cache", None)
+        if cached is None:
+            cached = {}
+            for name, vs in self.marks.items():
+                for v in vs:
+                    cached.setdefault(v, []).append(name)
+            self._marks_by_vertex_cache = cached
+        return cached
+
     def apply(self, fname: str, v: int) -> int:
         return self.functions[fname][v]
 
@@ -290,18 +301,34 @@ def restrict(m: GuidedStructure, subset: Iterable[int]) -> GuidedStructure:
     """Induced substructure on `subset` with function clamping.
 
     A function value falling outside the subset is clamped to its argument, so
-    the restriction of a guided structure stays guided and total.
+    the restriction of a guided structure stays guided and total.  The work
+    is proportional to the subset and its adjacency, marks and function
+    values, not to the size of `m`: edges come from the adjacency of the
+    subset's vertices and marks from a vertex -> marks index built once per
+    structure.  The result skips the constructor's checks, which hold on it
+    because they hold on `m`.
     """
     sub = tuple(sorted(set(subset)))
-    sset = set(sub)
-    if not sset <= set(m.domain):
+    sset = frozenset(sub)
+    if not m._adj.keys() >= sset:
         raise ValueError("restriction subset leaves domain")
-    edges = [(u, v) for u, v in m.edges if u in sset and v in sset]
-    marks = {name: [v for v in vs if v in sset] for name, vs in m.marks.items()}
+    adj = {v: m._adj[v] & sset for v in sub}
+    marks: Dict[str, List[int]] = {name: [] for name in m.marks}
+    by_vertex = m._marks_by_vertex()
+    for v in sub:
+        for name in by_vertex.get(v, ()):
+            marks[name].append(v)
     functions = {}
     for name, fmap in m.functions.items():
         functions[name] = {v: (fmap[v] if fmap[v] in sset else v) for v in sub}
-    return GuidedStructure(m.signature, sub, edges, marks, functions)
+    out = GuidedStructure.__new__(GuidedStructure)
+    out.signature = m.signature
+    out.domain = sub
+    out.edges = tuple(sorted((u, v) for u in sub for v in adj[u] if u < v))
+    out._adj = adj
+    out.marks = {name: tuple(vs) for name, vs in marks.items()}
+    out.functions = functions
+    return out
 
 
 def expand_monadic(m: GuidedStructure, new_marks: Dict[str, Iterable[int]]) -> GuidedStructure:

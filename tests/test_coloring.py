@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from modcheck.coloring import (
     CenteredColoring,
     NotCenteredError,
+    _greedy_distance_coloring,
     coloring_from_forest,
     compute_p_centered,
     forest_from_centered,
@@ -20,7 +21,14 @@ from modcheck.coloring import (
 )
 from modcheck.structures import Graph, GuidedStructure, Signature, gaifman, restrict
 
-from gens import grid_graph, path_graph, random_guided_structure, random_max_degree_graph
+from gens import (
+    grid_graph,
+    path_graph,
+    random_guided_structure,
+    random_max_degree_graph,
+    random_planarish_graph,
+    trace_events,
+)
 
 
 def complete_graph(n):
@@ -200,6 +208,45 @@ def test_heuristic_handles_midsize_grid():
     g = grid_graph(10, 10)
     cand = compute_p_centered(g, 3, backend="heuristic")
     assert validate_p_centered(g, cand, 3) is None
+
+
+# The validator's cost grows like C(colors, p - 1), so larger p uses smaller
+# graphs to keep the oracle fast.
+HEURISTIC_SIZES = {2: 30, 3: 30, 4: 30, 5: 20, 6: 12, 7: 12}
+
+
+@pytest.mark.parametrize("p", sorted(HEURISTIC_SIZES))
+def test_heuristic_result_validates(p):
+    rng = random.Random(100 + p)
+    for i in range(100):
+        n = rng.randint(2, HEURISTIC_SIZES[p])
+        g = random_max_degree_graph(rng, n) if i % 2 else random_planarish_graph(rng, n)
+        cand = compute_p_centered(g, p)
+        assert cand.p == p and set(cand.colors) == set(g.vertices)
+        assert validate_p_centered(g, cand, p) is None
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_heuristic_keeps_the_first_validated_radius(p):
+    # for p <= 4 the chosen coloring is the first of radius 2 and 3 that
+    # validates, else radius 3
+    rng = random.Random(200 + p)
+    for i in range(100):
+        n = rng.randint(2, 30)
+        g = random_max_degree_graph(rng, n) if i % 2 else random_planarish_graph(rng, n)
+        colorings = [_greedy_distance_coloring(g, r).colors for r in (2, 3)]
+        valid = [c for c in colorings if validate_p_centered(g, CenteredColoring(p, c), p) is None]
+        assert compute_p_centered(g, p).colors == (valid or colorings[1:])[0]
+
+
+def test_heuristic_scales_linearly_at_p5():
+    # radius p - 1 = 4 needs no validator; validating it, or a radius-6
+    # coloring, costs C(colors, 4) times n with colors growing with n
+    events = [
+        trace_events(compute_p_centered, random_max_degree_graph(random.Random(7), n), 5)
+        for n in (100, 400)
+    ]
+    assert events[1] <= 6 * events[0], events
 
 
 def test_exact_backend_color_count_on_paths():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import random_guided_structure, random_max_degree_graph
+from gens import random_guided_structure, random_max_degree_graph, structure_from_graph, trace_events
 from modcheck.structures import (
     Graph,
     GraphFormatError,
@@ -96,6 +96,60 @@ def test_restrict_rejects_foreign_vertices():
     m = GuidedStructure(sig, range(3))
     with pytest.raises(ValueError):
         restrict(m, [0, 7])
+
+
+def restrict_by_scan(m, subset):
+    """The O(|m|) restriction: scans every edge and mark of ``m`` and
+    rebuilds the result through the checking constructor."""
+    sub = tuple(sorted(set(subset)))
+    sset = set(sub)
+    if not sset <= set(m.domain):
+        raise ValueError("restriction subset leaves domain")
+    edges = [(u, v) for u, v in m.edges if u in sset and v in sset]
+    marks = {name: [v for v in vs if v in sset] for name, vs in m.marks.items()}
+    functions = {}
+    for name, fmap in m.functions.items():
+        functions[name] = {v: (fmap[v] if fmap[v] in sset else v) for v in sub}
+    return GuidedStructure(m.signature, sub, edges, marks, functions)
+
+
+def test_restrict_equals_the_scan():
+    rng = random.Random(41)
+    for i in range(200):
+        family = ("maxdeg", "planar", "forest", "lowtd")[i % 4]
+        m = random_guided_structure(
+            rng, rng.randint(1, 30), family=family, n_marks=rng.randint(0, 4), n_funcs=rng.randint(0, 2)
+        )
+        if i % 3 == 0:
+            # a structure whose ids are not 0..n-1, as restrictions are
+            m = restrict_by_scan(m, [v for v in m.domain if rng.random() < 0.8])
+        subset = [v for v in m.domain if rng.random() < 0.5]
+        rng.shuffle(subset)
+        for keep in (subset, m.domain, []):
+            got, want = restrict(m, keep), restrict_by_scan(m, keep)
+            assert got == want
+            for u in want.domain:
+                assert got.neighbors(u) == want.neighbors(u)
+                for v in want.domain:
+                    assert got.has_edge(u, v) == want.has_edge(u, v)
+            assert restrict(got, keep) == got
+        gaps = sorted(set(range(max(m.domain, default=0) + 2)) - set(m.domain))
+        with pytest.raises(ValueError, match="leaves domain"):
+            restrict(m, subset + gaps[:1])
+
+
+def test_restrict_scales_with_the_subset():
+    # a fixed 20-vertex subset of a structure with 12 mark families: after
+    # the first call has built the vertex -> marks index, a restriction
+    # costs the same at n = 1000 and 4000
+    events = []
+    for n in (1000, 4000):
+        rng = random.Random(n)
+        m = structure_from_graph(rng, random_max_degree_graph(rng, n), n_marks=12, n_funcs=1)
+        subset = list(range(0, 40, 2))
+        restrict(m, subset)
+        events.append(trace_events(restrict, m, subset))
+    assert events[1] <= 1.5 * events[0], events
 
 
 @settings(max_examples=40, deadline=None)

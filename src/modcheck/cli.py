@@ -32,10 +32,11 @@ from .forest_codec import (
     DecodeConflictError,
     decode_IS,
     encode_IY,
-    forest_structure,
+    forest_signature,
     parse_forest,
     serialize_forest,
 )
+from .forest_eval import eval_forest
 from .logic import count_naive, eval_naive, free_vars, parse_formula
 from .matrix import (
     MatrixFormatError,
@@ -289,12 +290,11 @@ def _cmd_forest(args, timings: _Timings) -> int:
     if action == "eval":
         with timings.time("parse"):
             y = parse_forest(_read(args.forest))
-            fs = forest_structure(y)
-            phi = parse_formula(args.formula, fs.signature)
+            phi = parse_formula(args.formula, forest_signature(y.signature, y.forest.height))
             assignment = _parse_assignment(args.assign)
         _require_assigned(phi, assignment)
         with timings.time("eval"):
-            result = eval_naive(fs, phi, assignment)
+            result = eval_forest(y, phi, assignment)
         _emit({"result": result}, args.format, "true" if result else "false")
         return 0
     raise ValueError(f"unknown forest action {action!r}")

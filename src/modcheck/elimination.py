@@ -28,7 +28,7 @@ moves:
 4.  **Output formula.**  The residual formula reads, per argument tuple, the
     witness-count residues of the realized witness types and tests whether
     their sum hits the target residue.  It is quantifier-free: each read is a
-    piece-local lookup, with the forest parent tables kept as side data.
+    census on one piece's encoded forest, built on first use.
 
 Nesting is handled innermost-first; an inner eliminated quantifier with at
 most one free variable is materialized as a fresh unary mark, which keeps the
@@ -43,7 +43,7 @@ import itertools
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coloring import CenteredColoring, compute_p_centered, forest_from_centered
 from .forest_codec import ColoredForest, encode_IY
@@ -134,28 +134,6 @@ def color_type_of(
     return tuple(colors[apply_composition(m, alpha, v)] for alpha in compositions)
 
 
-def residue_distributions(
-    a: int, b: int, realized: Sequence
-) -> Iterator[Dict[object, int]]:
-    """All assignments of residues to the realized keys summing to ``a`` mod ``b``.
-
-    Lazily enumerated in lexicographic order; ``b ** (len(realized) - 1)``
-    assignments when at least one key is realized, and the empty assignment
-    alone when none are (empty sums hit 0 only).
-    """
-    if b < 1:
-        raise ValueError("modulus must be at least 1")
-    keys = list(realized)
-    a %= b
-    if not keys:
-        if a == 0:
-            yield {}
-        return
-    for head in itertools.product(range(b), repeat=len(keys) - 1):
-        last = (a - sum(head)) % b
-        yield dict(zip(keys, (*head, last)))
-
-
 # ---------------------------------------------------------------------------
 # pieces
 # ---------------------------------------------------------------------------
@@ -165,35 +143,21 @@ def residue_distributions(
 class Piece:
     """One restriction of the expanded structure, with its forest counter.
 
-    ``parent`` is the elimination-forest parent table, kept as side data so
-    the expanded structure stays a plain guided structure.  ``sigma`` is the
-    type-guarded body: the type marks of the key on every variable, conjoined
-    with the quantified body, over the piece's own vocabulary.  ``counter``
-    counts its witnesses on the encoded ``forest`` and accepts a witness class
-    by evaluating ``sigma`` on the piece itself; ``eliminated`` materializes
-    residues through that same counter.
+    ``forest`` is the piece's encoded elimination forest, shared with every
+    piece over the same color classes.  ``sigma`` is the type-guarded body:
+    the type marks of the key on every variable, conjoined with the
+    quantified body, over the piece's own vocabulary.  ``counter`` counts its
+    witnesses on ``forest`` and accepts a witness class by evaluating
+    ``sigma`` on the piece itself.
     """
 
     key: Tuple[Tuple[int, ...], int]
     name: str
     colors: Tuple[int, ...]
     domain: Tuple[int, ...]
-    parent: Dict[int, int]
-    height: int
     forest: ColoredForest
     sigma: Formula
     counter: ModForestCounter
-    _eliminated: Dict[int, Tuple[ColoredForest, Formula]] = field(default_factory=dict)
-
-    def eliminated(self, c: int) -> Tuple[ColoredForest, Formula]:
-        """Forest-level residual formula for "the witness count leaves
-        residue ``c``", with its residue marks; built on first use."""
-        c %= self.counter.b
-        if c not in self._eliminated:
-            self._eliminated[c] = self.counter.materialize(
-                c, mark_prefix=f"{self.name}r{c}_"
-            )
-        return self._eliminated[c]
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +201,9 @@ class EliminationResult:
     modulo-counting quantifier.
 
     ``m_star`` carries the color-class and color-type marks.  Pieces (with
-    their forest parent tables and residue counters) are created on demand,
+    their encoded forests and residue counters) are created on demand,
     keyed by realized argument/witness types; pieces over the same color
     classes share one base: restriction, forest, encoding and census tables.
-    ``last_touched``, the vertices consulted by the most recent evaluation,
-    is derived on read from the piece keys and arguments it recorded.
     """
 
     m: GuidedStructure
@@ -257,12 +219,9 @@ class EliminationResult:
     types: Tuple[ColorType, ...]
     type_of: Dict[int, int]
     prefix: str
-    config: EliminationConfig
     _classes: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     _pieces: Dict[Tuple[Tuple[int, ...], int], Piece] = field(default_factory=dict)
     _bases: Dict[Tuple[int, ...], tuple] = field(default_factory=dict)  # colors -> base
-    _touched_args: Set[int] = field(default_factory=set)
-    _touched_keys: Set[Tuple[Tuple[int, ...], int]] = field(default_factory=set)
 
     @property
     def zeta(self) -> ZetaFormula:
@@ -272,15 +231,8 @@ class EliminationResult:
 
     # -- mark naming ------------------------------------------------------
 
-    def color_mark(self, color: int) -> str:
-        return f"{self.prefix}c{color}"
-
     def type_mark(self, type_index: int) -> str:
         return f"{self.prefix}t{type_index}"
-
-    @property
-    def last_touched(self) -> Set[int]:
-        return self._touched_args.union(*(self._pieces[k].domain for k in self._touched_keys))
 
     # -- pieces -----------------------------------------------------------
 
@@ -302,11 +254,10 @@ class EliminationResult:
         if base is None:
             domain = sorted({v for c in used for v in self._classes.get(c, ())})
             piece_struct = restrict(self.m_star, domain)
-            forest = forest_from_centered(piece_struct, self.coloring)
-            encoded = encode_IY(piece_struct, forest)
-            base = (piece_struct, forest, encoded, ForestTables(encoded))
+            encoded = encode_IY(piece_struct, forest_from_centered(piece_struct, self.coloring))
+            base = (piece_struct, encoded, ForestTables(encoded))
             self._bases[tuple(used)] = base
-        piece_struct, forest, encoded, tables = base
+        piece_struct, encoded, tables = base
         sigma = and_all(
             [
                 MarkAtom(self.type_mark(i), Term(x))
@@ -334,8 +285,6 @@ class EliminationResult:
             name=name,
             colors=tuple(used),
             domain=tuple(piece_struct.domain),
-            parent=dict(forest.parent),
-            height=forest.height,
             forest=encoded,
             sigma=sigma,
             counter=counter,
@@ -372,16 +321,12 @@ class EliminationResult:
             raise ValueError(
                 f"argument types {actual} do not match the piece key {tbar_idx}"
             )
-        piece = self.piece(tbar_idx, t_idx)
-        self._touched_keys.add(piece.key)
         nu = {x: valuation[x] for x in self.xvars}
-        return piece.counter.residue(nu)
+        return self.piece(tbar_idx, t_idx).counter.residue(nu)
 
     def residue_vector(self, valuation: Dict[str, int]) -> Dict[int, int]:
         """Residues of every realized witness type at one argument tuple."""
         tbar = self._argument_types(valuation)
-        self._touched_args = {valuation[x] for x in self.xvars}
-        self._touched_keys = set()
         return {
             t_idx: self.residue(tbar, t_idx, valuation)
             for t_idx in range(len(self.types))
@@ -496,7 +441,6 @@ def eliminate_one(
         types=tuple(type_list),
         type_of=type_of,
         prefix=prefix,
-        config=config,
     )
     result._classes = {c: tuple(vs) for c, vs in classes.items()}
     return result

@@ -8,11 +8,18 @@ Three layers:
 * eval_forest: evaluates any FOM formula by shrinking the forest to a
   bounded-size pruned representative (per-class child caps) and running the
   naive evaluator there.
-* pattern counting and elimination: counts extensions w with
-  closure(v̄, w) isomorphic to a given labeled pattern via the three-case
-  split (untouched component / forced closure position / branch below a
-  closure vertex), and eliminates one modulo quantifier into a
-  quantifier-free formula over parent compositions and residue marks.
+* the code-path census and elimination: counts the witnesses w of one
+  modulo quantifier at x̄ by where w sits against the closure of x̄ (the
+  root paths of its entries).  Case B: w is a closure vertex, tested one by
+  one.  Case C: w hangs below a closure vertex s off the closure; witnesses
+  are grouped by the code path from s down to w, counted as the paths below
+  s minus those through s's pinned children (its children in the closure).
+  Case A: w lies in a tree the closure does not touch; witnesses are grouped
+  by their full code path, counted forest-wide minus those under the
+  closure's roots.  Each group is accepted or rejected on one
+  representative, and the counts of the accepted groups are summed modulo
+  b.  Elimination turns the census into a quantifier-free formula over
+  parent compositions and residue marks.
 
 A closure is described without building it: ``typed_shape_key`` records the
 exact subtree codes along each entry's root path and, per pair of entries,
@@ -25,8 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .coloring import EliminationForest
 from .forest_codec import (
@@ -132,136 +138,12 @@ class SubtreeTypeTable:
 
 
 # ---------------------------------------------------------------------------
-# labeled patterns
+# closures
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PatternNode:
-    letter: tuple
-    labels: Tuple[int, ...]
-    children: Tuple["PatternNode", ...]
-
-    def key(self) -> tuple:
-        return (self.letter, self.labels, tuple(c.key() for c in self.children))
-
-
-def make_pattern_node(letter, labels: Iterable[int] = (), children: Iterable[PatternNode] = ()) -> PatternNode:
-    kids = tuple(sorted(children, key=lambda c: c.key()))
-    return PatternNode(tuple(letter), tuple(sorted(labels)), kids)
-
-
-def _subtree_labels(node: PatternNode) -> FrozenSet[int]:
-    out = set(node.labels)
-    for c in node.children:
-        out |= _subtree_labels(c)
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
-class TightLabeledForest:
-    """Canonical rooted colored forest with labels 1..k placed on vertices.
-
-    Tight: every vertex carries a label or has one below it, which is exactly
-    the shape of an ancestor closure.
-    """
-
-    trees: Tuple[PatternNode, ...]
-    k: int
-
-    @staticmethod
-    def of(trees: Iterable[PatternNode], k: int) -> "TightLabeledForest":
-        trees = tuple(sorted(trees, key=lambda t: t.key()))
-        seen: Counter = Counter()
-
-        def visit(node: PatternNode) -> bool:
-            has = bool(node.labels)
-            for lbl in node.labels:
-                seen[lbl] += 1
-            for c in node.children:
-                has |= visit(c)
-            if not has:
-                raise ValueError("pattern is not tight: a vertex has no label below it")
-            return has
-
-        for t in trees:
-            visit(t)
-        expected = set(range(1, k + 1))
-        if set(seen) != expected or any(n != 1 for n in seen.values()):
-            raise ValueError(f"labels must be exactly 1..{k}, once each; got {dict(seen)}")
-        return TightLabeledForest(trees, k)
-
-    @property
-    def height(self) -> int:
-        def h(node: PatternNode) -> int:
-            return 1 + max((h(c) for c in node.children), default=0)
-
-        return max((h(t) for t in self.trees), default=0)
-
-    def size(self) -> int:
-        def s(node: PatternNode) -> int:
-            return 1 + sum(s(c) for c in node.children)
-
-        return sum(s(t) for t in self.trees)
-
-    def single_tree(self) -> bool:
-        return len(self.trees) == 1
-
-    def label_path(self, label: int) -> Tuple[PatternNode, ...]:
-        """Nodes from the root down to the node carrying the label."""
-        for t in self.trees:
-            path: List[PatternNode] = []
-
-            def descend(node: PatternNode) -> bool:
-                path.append(node)
-                if label in node.labels:
-                    return True
-                for c in node.children:
-                    if label in _subtree_labels(c):
-                        return descend(c)
-                path.pop()
-                return False
-
-            if descend(t):
-                return tuple(path)
-        raise ValueError(f"label {label} not in pattern")
-
-    def restrict_labels(self, upto: int) -> "TightLabeledForest":
-        """Closure of labels 1..upto: drop vertices with no such label below."""
-
-        def rebuild(node: PatternNode) -> Optional[PatternNode]:
-            kids = [k2 for k2 in (rebuild(c) for c in node.children) if k2 is not None]
-            labels = tuple(l for l in node.labels if l <= upto)
-            if not labels and not kids:
-                return None
-            return make_pattern_node(node.letter, labels, kids)
-
-        trees = [t2 for t2 in (rebuild(t) for t in self.trees) if t2 is not None]
-        return TightLabeledForest.of(trees, upto)
 
 
 def _closure_vertices(idx: _Index, vbar: Sequence[int]) -> List[int]:
     return sorted({u for v in vbar for u in idx.path[v]})
-
-
-def shape_at(y: ColoredForest, vbar: Sequence[int], index: Optional[_Index] = None) -> TightLabeledForest:
-    """Canonical shape of the ancestor closure of vbar, labels at its entries."""
-    idx = index or _Index(y)
-    forest = idx.forest
-    for v in vbar:
-        if v not in forest.parent:
-            raise ValueError(f"vertex {v} not in forest")
-    closure = set(_closure_vertices(idx, vbar))
-    labels_at: Dict[int, List[int]] = {}
-    for i, v in enumerate(vbar, start=1):
-        labels_at.setdefault(v, []).append(i)
-
-    def build(v: int) -> PatternNode:
-        kids = [build(c) for c in idx.children[v] if c in closure]
-        return make_pattern_node(idx.letter[v], labels_at.get(v, ()), kids)
-
-    roots = [v for v in sorted(closure) if forest.parent[v] == v]
-    return TightLabeledForest.of([build(r) for r in roots], len(vbar))
 
 
 def typed_shape_key(codes: SubtreeTypeTable, vbar: Sequence[int]) -> tuple:
@@ -388,175 +270,6 @@ def eval_forest(
     vocab_height = height_bound if height_bound is not None else (y.forest.height or None)
     fs = forest_structure(pruned, height=vocab_height)
     return eval_naive(fs, phi, {var: vmap[v] for var, v in nu.items()})
-
-
-# ---------------------------------------------------------------------------
-# pattern counting: annotations
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ResidueAnnotation:
-    """Per-vertex embedding counts of a single-tree pattern, all modulo b.
-
-    blue[v]: embeddings of the pattern rooted at v.  green[v]: embeddings of
-    the pattern minus its root, rooted at v (single-branch patterns; zero
-    otherwise).  b_index[r]: embeddings anywhere in r's tree.  total: the
-    forest-wide count, kept as scalar metadata rather than marks.
-    """
-
-    modulus: int
-    blue: Dict[int, int]
-    green: Dict[int, int]
-    b_index: Dict[int, int]
-    total: int
-
-
-def _embeddings_at(idx: _Index, v: int, node: PatternNode, memo: Dict[tuple, int]) -> int:
-    """Injective structure- and letter-preserving embeddings, root at v."""
-    key = (v, node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = 0
-    if idx.letter[v] == node.letter:
-        if not node.children:
-            out = 1
-        else:
-            kids = idx.children[v]
-            pkids = node.children
-
-            def assign(i: int, used: FrozenSet[int]) -> int:
-                if i == len(pkids):
-                    return 1
-                total = 0
-                for c in kids:
-                    if c in used:
-                        continue
-                    sub = _embeddings_at(idx, c, pkids[i], memo)
-                    if sub:
-                        total += sub * assign(i + 1, used | {c})
-                return total
-
-            out = assign(0, frozenset())
-    memo[key] = out
-    return out
-
-
-def annotate_counts(y: ColoredForest, f1: TightLabeledForest, b: int) -> ResidueAnnotation:
-    """Blue/green/B-mark residues for one single-tree pattern."""
-    if b < 1:
-        raise ValueError("modulus must be positive")
-    if not f1.single_tree():
-        raise ValueError("annotation pattern must be a single tree")
-    idx = _Index(y)
-    root = f1.trees[0]
-    memo: Dict[tuple, int] = {}
-    blue = {v: _embeddings_at(idx, v, root, memo) % b for v in idx.vertices}
-    if len(root.children) == 1:
-        sub = root.children[0]
-        green = {v: _embeddings_at(idx, v, sub, memo) % b for v in idx.vertices}
-    else:
-        green = {v: 0 for v in idx.vertices}
-    b_index: Dict[int, int] = {}
-    total = 0
-    for r in idx.roots:
-        acc = 0
-        stack = [r]
-        while stack:
-            v = stack.pop()
-            acc += blue[v]
-            stack.extend(idx.children[v])
-        b_index[r] = acc % b
-        total += acc
-    return ResidueAnnotation(b, blue, green, b_index, total % b)
-
-
-# ---------------------------------------------------------------------------
-# pattern counting: the three-case census
-# ---------------------------------------------------------------------------
-
-
-def _letter_path_count(idx: _Index, v: int, seq: Sequence[tuple], skip: FrozenSet[int] = frozenset()) -> int:
-    """Descending paths from v (exclusive) whose letters spell seq."""
-    if not seq:
-        return 1
-    total = 0
-    for c in idx.children[v]:
-        if c in skip or idx.letter[c] != seq[0]:
-            continue
-        total += _letter_path_count(idx, c, seq[1:])
-    return total
-
-
-def count_instances_mod(y: ColoredForest, pattern: TightLabeledForest, vbar: Sequence[int], b: int) -> int:
-    """|{w : closure(vbar, w) has this (k+1)-labeled shape}| mod b.
-
-    Splits on where the last label sits: inside the closure of the first k
-    labels (forced vertex, 0/1), on a branch below a closure vertex
-    (blue-minus-green difference), or in an untouched tree (global count
-    minus the touched trees' contributions).
-    """
-    if b < 1:
-        raise ValueError("modulus must be positive")
-    k = len(vbar)
-    if pattern.k != k + 1:
-        raise ValueError(f"pattern has {pattern.k} labels, expected {k + 1}")
-    idx = _Index(y)
-    forest = y.forest
-    f2 = pattern.restrict_labels(k)
-    if shape_at(y, vbar, idx) != f2:
-        return 0
-    closure = _closure_vertices(idx, vbar)
-
-    path = pattern.label_path(k + 1)
-    witness_node = path[-1]
-    if _subtree_labels(witness_node) & set(range(1, k + 1)):
-        # forced position: the witness is inside the closure itself
-        CASE_COUNTER["B"] += 1
-        hits = sum(1 for w in closure if shape_at(y, tuple(vbar) + (w,), idx) == pattern)
-        return hits % b
-
-    in_f2 = [bool(_subtree_labels(n) & set(range(1, k + 1))) for n in path]
-    split = -1
-    for i, flag in enumerate(in_f2[:-1]):
-        if flag:
-            split = i
-
-    if split == -1:
-        # untouched component: the witness tree shares nothing with vbar
-        CASE_COUNTER["A"] += 1
-        letters = tuple(n.letter for n in path)
-        total = 0
-        closure_roots = {v for v in closure if forest.parent[v] == v}
-        for r in idx.roots:
-            if idx.letter[r] != letters[0]:
-                continue
-            n_here = _letter_path_count(idx, r, letters[1:])
-            total += n_here
-            if r in closure_roots:
-                total -= n_here
-        return total % b
-
-    # branch below a closure vertex: tightness forces the branch to be a path
-    CASE_COUNTER["C"] += 1
-    s_node = path[split]
-    branch = path[split + 1 :]
-    for node in branch[:-1]:
-        assert len(node.children) == 1, "tight pattern branch must be a bare path"
-    assert not branch[-1].children, "witness must be a leaf outside the closure"
-    # locate the closure vertex matching s_node: it sits at depth split+1 on
-    # the root path of any label below it (label-respecting isomorphisms fix
-    # the closure pointwise, so the choice of label does not matter)
-    label_below = min(_subtree_labels(s_node) & set(range(1, k + 1)))
-    s_y = forest.ancestor_at_level(vbar[label_below - 1], split + 1)
-    pinned = frozenset(c for c in idx.children[s_y] if c in set(closure))
-    letters = tuple(n.letter for n in branch)
-    total = _letter_path_count(idx, s_y, letters)
-    for c in sorted(pinned):
-        if idx.letter[c] == letters[0]:
-            total -= _letter_path_count(idx, c, letters[1:])
-    return total % b
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ The criteria, in order:
 
 1. master differential oracle — the elimination pipeline agrees with the
    naive evaluator on thousands of random structure/query instances;
-2. counting golden — the worked branching-forest example: 6 - (2+2) = 2,
-   residue 2 mod 3;
+2. counting golden — the worked branching-forest example on the
+   pipeline's census: 6 - (2+2) = 2, residue 2 mod 3;
 3. forest codec roundtrip — decode(encode(M, F)) == M on random
    low-tree-depth structures and the full corpus of tiny structures;
 4. forest modulo-elimination is extensional over every tuple, with all
@@ -35,13 +35,7 @@ from pathlib import Path
 from modcheck.coloring import compute_p_centered, heuristic_elimination_forest, validate_p_centered
 from modcheck.elimination import eval_pipeline
 from modcheck.forest_codec import decode_IS, encode_IY, forest_signature, forest_structure
-from modcheck.forest_eval import (
-    CASE_COUNTER,
-    annotate_counts,
-    count_instances_mod,
-    eliminate_mod_on_forest,
-    reset_case_counters,
-)
+from modcheck.forest_eval import CASE_COUNTER, eliminate_mod_on_forest, reset_case_counters
 from modcheck.logic import ModExists, eval_naive, free_vars, is_quantifier_free
 from modcheck.matrix import SparseFieldMatrix, build_marking, eval_expr, rank_Fp, srank
 from modcheck.structures import Graph, GuidedStructure, Signature, gaifman
@@ -60,7 +54,7 @@ from gens import (
     structure_from_graph,
 )
 from test_coloring import p_centered_by_definition
-from test_forest_eval import branching_forest, enumerate_forest_shapes, forest_of, path_pattern, three_level_pattern
+from test_forest_eval import BRANCHING_BODY, branching_forest, census_at, enumerate_forest_shapes, forest_of
 from test_matrix import dense, oracle_eval, random_expr, random_low_srank_matrix, random_matrix
 from test_vertex_minor import gkey, parity_complement_oracle, random_graph, random_independent_set
 
@@ -182,20 +176,20 @@ def test_criterion_1_master_oracle_equivalence():
 
 def test_criterion_2_counting_golden():
     """One root with three children of two leaves each; anchors on leaves of
-    two different children.  Six descending 3-paths start at the root, the
-    two pinned children eat 2 + 2 of them, leaving 6 - (2+2) = 2, which is
-    residue 2 mod 3."""
+    two different children; the witnesses are the leaves off the anchors'
+    root paths.  On the pipeline's census six descending 3-paths start at
+    the root, the two pinned children eat 2 + 2 of them, leaving
+    6 - (2+2) = 2, which is residue 2 mod 3."""
     y = branching_forest()
-    pattern = three_level_pattern((1, 2, 3))
-    reset_case_counters()
-    assert count_instances_mod(y, pattern, (4, 6), 3) == 2
-    assert CASE_COUNTER["C"] == 1
+    counter, total, terms = census_at(y, BRANCHING_BODY, (4, 6), 3)
+    assert total == 2
+    q = (counter.codes.code[1], counter.codes.code[4])
+    assert terms == [("C", 0, q, 2)]
+    assert counter.down(0, q) == 6
+    assert (counter.down(1, q[1:]), counter.down(2, q[1:])) == (2, 2)
     # with a huge modulus the raw difference itself is visible
-    assert count_instances_mod(y, pattern, (4, 6), 100) == 2
-    ann = annotate_counts(y, path_pattern([(), (), ()]), 100)
-    assert ann.blue[0] == 6
-    assert (ann.green[1], ann.green[2]) == (2, 2)
-    assert ann.blue[0] - (ann.green[1] + ann.green[2]) == 2
+    counter, total, terms = census_at(y, BRANCHING_BODY, (4, 6), 100)
+    assert total == 2 and terms == [("C", 0, q, 2)]
     _report("criterion 2: counting golden 6 - (2+2) = 2, residue 2 mod 3")
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: schemas, determinism, exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -8,8 +9,12 @@ import jsonschema
 import pytest
 
 from modcheck.cli import main
+from modcheck.forest_codec import forest_signature, forest_structure, serialize_forest
+from modcheck.logic import ModExists, eval_naive, format_formula, walk
 from modcheck.matrix import parse_matrix
 from modcheck.structures import parse_graph
+
+from gens import random_colored_forest, random_formula, random_quantifier_free
 
 
 def run_cli(capsys, *argv):
@@ -312,6 +317,29 @@ def test_forest_eval_answers_over_the_forest_vocabulary(capsys, c4, tmp_path):
     assert code == 0
     assert set(verdict) == {"result"}
     assert isinstance(verdict["result"], bool)
+    # the verdict is the naive one over the forest structure
+    rng = random.Random(71)
+    with_emod = 0
+    for trial in range(20):
+        y = random_colored_forest(rng, rng.randint(1, 9), height=3)
+        fsig = forest_signature(y.signature, y.forest.height)
+        fv = ("x", "z")[: trial % 3]
+        if trial % 2 == 0:
+            b = rng.choice((2, 3))
+            body = random_quantifier_free(rng, fsig, list(fv) + ["w"], depth=2, max_funcs=2)
+            phi = ModExists(rng.randrange(b), b, "w", body)
+        else:
+            phi = random_formula(rng, fsig, fv, q_budget=2, depth=2, moduli=(2, 3), max_funcs=2)
+        with_emod += any(isinstance(n, ModExists) for n in walk(phi))
+        nu = {v: rng.choice(y.forest.vertices()) for v in fv}
+        forest_path.write_text(serialize_forest(y))
+        argv = ["forest", "eval", "-F", str(forest_path), "-f", format_formula(phi, fsig)]
+        if nu:
+            argv += ["--assign", ",".join(f"{v}={w}" for v, w in nu.items())]
+        code, verdict, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert verdict == {"result": eval_naive(forest_structure(y), phi, nu)}, trial
+    assert with_emod >= 10
 
 
 def test_forest_usage_errors_exit_two(capsys, c4):

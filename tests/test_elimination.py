@@ -18,7 +18,6 @@ from modcheck.elimination import (
     eliminate_all,
     eliminate_one,
     eval_pipeline,
-    residue_distributions,
     suffix_closure,
 )
 from modcheck.forest_codec import forest_structure, pullback_IS
@@ -180,8 +179,28 @@ def test_clamped_function_can_fake_a_color_type_inside_a_piece():
 
 
 # ---------------------------------------------------------------------------
-# residue distributions
+# residue distributions: the oracle of the residual formula's verdict
 # ---------------------------------------------------------------------------
+
+
+def residue_distributions(a, b, realized):
+    """All assignments of residues to the realized keys summing to ``a`` mod ``b``.
+
+    Lazily enumerated in lexicographic order; ``b ** (len(realized) - 1)``
+    assignments when at least one key is realized, and the empty assignment
+    alone when none are (empty sums hit 0 only).
+    """
+    if b < 1:
+        raise ValueError("modulus must be at least 1")
+    keys = list(realized)
+    a %= b
+    if not keys:
+        if a == 0:
+            yield {}
+        return
+    for head in itertools.product(range(b), repeat=len(keys) - 1):
+        last = (a - sum(head)) % b
+        yield dict(zip(keys, (*head, last)))
 
 
 def test_residue_distributions_single_key_is_the_target():
@@ -217,6 +236,19 @@ def test_residue_distributions_is_lazy():
 def test_residue_distributions_rejects_bad_modulus():
     with pytest.raises(ValueError):
         list(residue_distributions(0, 0, ["t"]))
+
+
+def test_residue_vector_matches_a_distribution_exactly_when_true():
+    rng = random.Random(47)
+    m = random_guided_structure(rng, 8, family="lowtd", n_funcs=1)
+    rho = random_quantifier_free(rng, m.signature, ["x", "y"], depth=1)
+    a, b = 1, 3
+    res = eliminate_one(m, a, b, rho, "y")
+    keys = list(range(len(res.types)))
+    for v in m.domain:
+        rv = res.residue_vector({"x": v})
+        hit = any(r == rv for r in residue_distributions(a, b, keys))
+        assert res.eval({"x": v}) == hit
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +365,6 @@ def test_zeta_is_a_quantifier_free_custom_node():
     assert eval_naive(res.m_star, res.zeta, {"x": 2})
 
 
-def test_residue_vector_matches_a_distribution_exactly_when_true():
-    rng = random.Random(47)
-    m = random_guided_structure(rng, 8, family="lowtd", n_funcs=1)
-    rho = random_quantifier_free(rng, m.signature, ["x", "y"], depth=1)
-    a, b = 1, 3
-    res = eliminate_one(m, a, b, rho, "y")
-    keys = list(range(len(res.types)))
-    for v in m.domain:
-        rv = res.residue_vector({"x": v})
-        hit = any(r == rv for r in residue_distributions(a, b, keys))
-        assert res.eval({"x": v}) == hit
-
-
 # ---------------------------------------------------------------------------
 # pieces
 # ---------------------------------------------------------------------------
@@ -386,8 +405,9 @@ def test_piece_forest_parent_tables_are_kept_as_side_data():
     res = eliminate_one(m, 0, 2, rho, "y")
     res.eval({"x": 0})
     for piece in res._pieces.values():
-        assert set(piece.parent) == set(piece.domain)
-        for v, par in piece.parent.items():
+        parent = piece.forest.forest.parent
+        assert set(parent) == set(piece.domain)
+        for v, par in parent.items():
             assert par in piece.domain
     # the expanded structure's functions are untouched
     assert res.m_star.signature.unary_functions == m.signature.unary_functions
@@ -404,8 +424,8 @@ def test_piece_residue_marks_agree_with_the_counter():
     key = next(iter(res.pieces_materialized()))
     piece = res._pieces[key]
     for c in range(b):
-        marked_forest, residual = piece.eliminated(c)
-        fs = forest_structure(marked_forest, height=piece.height)
+        marked_forest, residual = piece.counter.materialize(c, mark_prefix=f"{piece.name}r{c}_")
+        fs = forest_structure(marked_forest, height=piece.forest.height)
         assert is_quantifier_free(residual)
         for v in piece.domain:
             want = piece.counter.residue({"x": v}) == c
@@ -426,16 +446,16 @@ def test_piece_eliminated_equals_a_fresh_forest_elimination(seed, text):
     assert len(res.types) >= 2
     for tbar, t in itertools.product(range(len(res.types)), repeat=2):
         piece = res.piece((tbar,), t)
-        pulled = pullback_IS(piece.sigma, piece.forest.signature, piece.height)
+        pulled = pullback_IS(piece.sigma, piece.forest.signature, piece.forest.height)
         for c in range(b):
-            got_forest, got_zeta = piece.eliminated(c)
+            got_forest, got_zeta = piece.counter.materialize(c, mark_prefix=f"{piece.name}r{c}_")
             want_forest, want_zeta = eliminate_mod_on_forest(
                 piece.forest,
                 pulled,
                 c,
                 b,
                 yvar=piece.counter.yvar,
-                height_bound=piece.height,
+                height_bound=piece.forest.height,
                 mark_prefix=f"{piece.name}r{c}_",
             )
             assert repr(got_zeta) == repr(want_zeta)
@@ -460,12 +480,18 @@ def test_evaluation_touches_only_the_pieces_of_the_bound_types():
     m = chain_structure(8)
     rho = parse_formula("f0(f0(y)) = y", m.signature)
     res = eliminate_one(m, 1, 2, rho, "y")
+    assert res.pieces_materialized() == ()
     res.eval({})
-    allowed = set()
-    for t_idx in range(len(res.types)):
-        allowed |= set(res.piece((), t_idx).domain)
-    assert res.last_touched <= allowed
-    assert res.last_touched == allowed  # every realized piece was consulted
+    # a sentence reads one piece per realized witness type, and no other
+    assert res.pieces_materialized() == tuple(((), t) for t in range(len(res.types)))
+    # with an argument, only the pieces of its own type are built
+    res = eliminate_one(m, 1, 2, parse_formula("adj(x, f0(y))", m.signature), "y")
+    assert len(res.types) >= 2
+    v = m.domain[0]
+    res.eval({"x": v})
+    assert res.pieces_materialized() == tuple(
+        ((res.type_of[v],), t) for t in range(len(res.types))
+    )
 
 
 def test_pieces_share_forest_tables_per_base_and_build_no_forest_structure():

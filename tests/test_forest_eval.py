@@ -1,7 +1,8 @@
-"""Tests for fast forest evaluation, pattern counting, and elimination."""
+"""Tests for fast forest evaluation, the code-path census, and elimination."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,18 +10,12 @@ from modcheck.coloring import EliminationForest
 from modcheck.forest_codec import ColoredForest, forest_signature, forest_structure
 from modcheck.forest_eval import (
     CASE_COUNTER,
+    ForestTables,
     ModForestCounter,
-    PatternNode,
-    ResidueAnnotation,
     SubtreeTypeTable,
-    TightLabeledForest,
-    annotate_counts,
-    count_instances_mod,
     eliminate_mod_on_forest,
     eval_forest,
-    make_pattern_node,
     reset_case_counters,
-    shape_at,
     typed_shape_key,
 )
 from modcheck.logic import (
@@ -70,24 +65,6 @@ def branching_forest():
     return forest_of(parents)
 
 
-def three_level_pattern(k_labels):
-    """Root over singleton-child chains; labels on the grandchildren."""
-    kids = []
-    for lbl in k_labels:
-        leaf = make_pattern_node((), (lbl,))
-        kids.append(make_pattern_node((), (), [leaf]))
-    root = make_pattern_node((), (), kids)
-    return TightLabeledForest.of([root], max(k_labels))
-
-
-def brute_count(y, pattern, vbar, b):
-    """Independent census: test every witness by canonical shape equality."""
-    hits = sum(
-        1 for w in y.forest.vertices() if shape_at(y, tuple(vbar) + (w,)) == pattern
-    )
-    return hits % b
-
-
 def enumerate_forest_shapes(max_n, max_height):
     """All unlabeled rooted forests up to isomorphism, as parent dicts."""
 
@@ -125,7 +102,7 @@ def enumerate_forest_shapes(max_n, max_height):
 
 
 # ---------------------------------------------------------------------------
-# subtree type codes
+# subtree type codes and closure keys
 # ---------------------------------------------------------------------------
 
 
@@ -169,80 +146,6 @@ def test_codes_see_marks():
     assert t3.code[0] == t3.code[1]
 
 
-# ---------------------------------------------------------------------------
-# shapes
-# ---------------------------------------------------------------------------
-
-
-def test_shape_at_path_golden():
-    y = forest_of({0: 0, 1: 0, 2: 1})
-    shape = shape_at(y, (2,))
-    leaf = make_pattern_node((), (1,))
-    mid = make_pattern_node((), (), [leaf])
-    root = make_pattern_node((), (), [mid])
-    assert shape == TightLabeledForest.of([root], 1)
-    assert shape.height == 3 and shape.size() == 3
-
-
-def test_shape_at_empty_tuple():
-    y = branching_forest()
-    assert shape_at(y, ()) == TightLabeledForest.of([], 0)
-
-
-def test_shape_at_duplicate_entries_share_a_node():
-    y = forest_of({0: 0, 1: 0})
-    shape = shape_at(y, (1, 1))
-    node = shape.trees[0]
-    assert node.labels == ()
-    assert shape.trees[0].children[0].labels == (1, 2)
-
-
-def test_shape_equality_matches_closure_isomorphism():
-    # brute-force oracle: search for a label- and letter-preserving bijection
-    def closure(y, vbar):
-        out = set()
-        for v in vbar:
-            out.add(v)
-            out.update(y.forest.strict_ancestors(v))
-        return sorted(out)
-
-    def iso_exists(y, a, b):
-        ca, cb = closure(y, a), closure(y, b)
-        if len(ca) != len(cb):
-            return False
-        idx_letter = SubtreeTypeTable(y).index.letter
-        forest = y.forest
-        for perm in itertools.permutations(cb):
-            m = dict(zip(ca, perm))
-            ok = True
-            for v in ca:
-                w = m[v]
-                if idx_letter[v] != idx_letter[w] or forest.level[v] != forest.level[w]:
-                    ok = False
-                    break
-                pv, pw = forest.parent[v], forest.parent[w]
-                if (pv == v) != (pw == w) or (pv != v and m[pv] != pw):
-                    ok = False
-                    break
-            if ok and all(m[a[i]] == b[i] for i in range(len(a))):
-                return True
-        return False
-
-    rng = random.Random(11)
-    checked = 0
-    for _ in range(25):
-        y = random_colored_forest(rng, rng.randint(3, 7), height=3, n_marks=1)
-        verts = y.forest.vertices()
-        for _ in range(12):
-            k = rng.choice((1, 2))
-            a = tuple(rng.choice(verts) for _ in range(k))
-            b = tuple(rng.choice(verts) for _ in range(k))
-            same = shape_at(y, a) == shape_at(y, b)
-            assert same == iso_exists(y, a, b)
-            checked += 1
-    assert checked >= 250
-
-
 def test_typed_shape_key_is_automorphism_invariant():
     # two sibling leaves under the same parent are swappable
     y = forest_of({0: 0, 1: 0, 2: 0})
@@ -255,8 +158,9 @@ def test_typed_shape_key_is_automorphism_invariant():
 
 
 def tree_shape_key(codes, vbar):
-    """The closure of vbar as canonical PatternNode trees, exact subtree
-    codes as letters: the reference partition for typed_shape_key."""
+    """The closure of vbar as canonical nested tuples (code, labels,
+    children), exact subtree codes as letters: the reference partition for
+    typed_shape_key."""
     idx = codes.index
     forest = idx.forest
     closure = set(vbar).union(*(forest.strict_ancestors(v) for v in vbar))
@@ -265,11 +169,11 @@ def tree_shape_key(codes, vbar):
         labels_at.setdefault(v, []).append(i)
 
     def build(v):
-        kids = [build(c) for c in idx.children[v] if c in closure]
-        return make_pattern_node((codes.code[v],), labels_at.get(v, ()), kids)
+        kids = sorted(build(c) for c in idx.children[v] if c in closure)
+        return (codes.code[v], tuple(sorted(labels_at.get(v, ()))), tuple(kids))
 
     roots = [v for v in sorted(closure) if forest.parent[v] == v]
-    return tuple(sorted(build(r).key() for r in roots))
+    return tuple(sorted(build(r) for r in roots))
 
 
 def test_typed_shape_key_partitions_tuples_like_the_closure_tree():
@@ -292,16 +196,6 @@ def test_typed_shape_key_partitions_tuples_like_the_closure_tree():
             assert len(set(flat)) == len(set(zip(flat, tree))) == len(set(tree)), (y, k)
             checked += len(tuples)
     assert checked >= 20000
-
-
-def test_pattern_validation():
-    with pytest.raises(ValueError, match="not tight"):
-        TightLabeledForest.of([make_pattern_node((), (), [make_pattern_node((), ())])], 0)
-    with pytest.raises(ValueError, match="labels"):
-        TightLabeledForest.of([make_pattern_node((), (1, 1))], 2)
-    p = three_level_pattern((1, 2, 3))
-    assert p.restrict_labels(2).size() == 5
-    assert p.label_path(3)[-1].labels == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -429,203 +323,72 @@ def test_eval_forest_scales_linearly():
 
 
 # ---------------------------------------------------------------------------
-# annotations
+# the code-path census
 # ---------------------------------------------------------------------------
 
 
-def path_pattern(letters, label_at_end=1):
-    node = make_pattern_node(letters[-1], (label_at_end,))
-    for letter in reversed(letters[:-1]):
-        node = make_pattern_node(letter, (), [node])
-    return TightLabeledForest.of([node], label_at_end)
+def census_at(y, body, vbar, b):
+    """Residue and contributing terms of the census for Emod[.,b] w . body
+    at vbar, the body parsed over y's forest vocabulary."""
+    sigma = parse_formula(body, forest_signature(y.signature, y.forest.height))
+    counter = ModForestCounter(y, sigma, b, yvar="w")
+    return counter, *counter._residue_at(tuple(vbar))
 
 
-def test_annotation_golden_branching():
-    y = branching_forest()
-    f1 = path_pattern([(), (), ()])
-    ann = annotate_counts(y, f1, 7)
-    assert ann.blue[0] == 6
-    assert ann.green[1] == 2 and ann.green[2] == 2 and ann.green[3] == 2
-    assert ann.blue[1] == 0  # a depth-2 vertex has no grandchildren
-    assert ann.b_index[0] == 6
-    assert ann.total == 6
-
-
-def test_annotation_single_vertex_pattern():
-    y = forest_of({0: 0, 1: 0, 2: 0, 3: 3, 4: 3}, marks={"P0": (1, 2, 4)})
-    f1 = TightLabeledForest.of([make_pattern_node(("P0",), (1,))], 1)
-    ann = annotate_counts(y, f1, 5)
-    assert ann.b_index[0] == 2  # two marked vertices in the first tree
-    assert ann.b_index[3] == 1
-    assert ann.total == 3
-
-
-def test_annotation_total_matches_b_marks():
-    rng = random.Random(29)
-    for _ in range(80):
-        y = random_colored_forest(rng, rng.randint(1, 12))
-        letters = [(), ("P0",), ("P1",), ("P0", "P1")]
-        f1 = path_pattern([rng.choice(letters) for _ in range(rng.randint(1, 3))])
-        b = rng.choice((2, 3, 4, 7))
-        ann = annotate_counts(y, f1, b)
-        assert ann.total == sum(ann.b_index.values()) % b
-        assert all(0 <= x < b for x in ann.blue.values())
-
-
-def brute_embeddings(idx, v, node):
-    """Injective letter-preserving embeddings, counted by explicit search."""
-    if idx.letter[v] != node.letter:
-        return 0
-    if not node.children:
-        return 1
-    total = 0
-    kids = idx.children[v]
-    for images in itertools.permutations(kids, len(node.children)):
-        prod = 1
-        for child_node, image in zip(node.children, images):
-            prod *= brute_embeddings(idx, image, child_node)
-            if prod == 0:
-                break
-        total += prod
-    return total
-
-
-def test_annotation_blue_green_against_brute_force():
-    rng = random.Random(31)
-    for _ in range(60):
-        y = random_colored_forest(rng, rng.randint(1, 9), height=3, n_marks=1)
-        letters = [(), ("P0",)]
-        depth = rng.randint(1, 3)
-        f1 = path_pattern([rng.choice(letters) for _ in range(depth)])
-        b = 97  # large modulus: residues equal the raw counts here
-        ann = annotate_counts(y, f1, b)
-        idx = SubtreeTypeTable(y).index
-        root = f1.trees[0]
-        for v in y.forest.vertices():
-            assert ann.blue[v] == brute_embeddings(idx, v, root) % b
-            if len(root.children) == 1:
-                assert ann.green[v] == brute_embeddings(idx, v, root.children[0]) % b
-
-
-def test_annotation_branching_pattern_against_brute_force():
-    rng = random.Random(37)
-    leaf_a = make_pattern_node((), (2,))
-    leaf_b = make_pattern_node(("P0",), (1,))
-    f1 = TightLabeledForest.of([make_pattern_node((), (), [leaf_a, leaf_b])], 2)
-    for _ in range(40):
-        y = random_colored_forest(rng, rng.randint(2, 9), height=3, n_marks=1)
-        ann = annotate_counts(y, f1, 97)
-        idx = SubtreeTypeTable(y).index
-        for v in y.forest.vertices():
-            assert ann.blue[v] == brute_embeddings(idx, v, f1.trees[0]) % 97
-        assert set(ann.green.values()) == {0}  # multi-child root: no green counts
-
-
-def test_annotation_iso_relabeling_invariance():
-    y = forest_of({0: 0, 1: 0, 2: 0, 3: 1}, marks={"P0": (3,)})
-    # same forest with ids permuted
-    y2 = forest_of({5: 5, 4: 5, 2: 5, 0: 4}, marks={"P0": (0,)})
-    f1 = path_pattern([(), ()])
-    a1 = annotate_counts(y, f1, 5)
-    a2 = annotate_counts(y2, f1, 5)
-    relabel = {0: 5, 1: 4, 2: 2, 3: 0}
-    for v, w in relabel.items():
-        assert a1.blue[v] == a2.blue[w]
-        assert a1.green[v] == a2.green[w]
-    assert a1.total == a2.total
-
-
-def test_annotation_rejects_bad_input():
-    y = branching_forest()
-    two_trees = TightLabeledForest.of(
-        [make_pattern_node((), (1,)), make_pattern_node((), (2,))], 2
-    )
-    with pytest.raises(ValueError, match="single tree"):
-        annotate_counts(y, two_trees, 3)
-    with pytest.raises(ValueError, match="modulus"):
-        annotate_counts(y, path_pattern([()]), 0)
-
-
-# ---------------------------------------------------------------------------
-# the three-case census
-# ---------------------------------------------------------------------------
+BRANCHING_BODY = "Lvl3(w) & !(pi(w) = pi(v1)) & !(pi(w) = pi(v2))"
 
 
 def test_census_golden_branching_case():
     """The counting golden: 6 descending paths, 2+2 through pinned children."""
     y = branching_forest()
-    pattern = three_level_pattern((1, 2, 3))
-    reset_case_counters()
-    assert count_instances_mod(y, pattern, (4, 6), 3) == 2
-    assert CASE_COUNTER["C"] == 1
-    # the raw difference 6 - (2 + 2) = 2 is visible with a large modulus
-    assert count_instances_mod(y, pattern, (4, 6), 100) == 2
-    ann = annotate_counts(y, path_pattern([(), (), ()]), 100)
-    assert ann.blue[0] - (ann.green[1] + ann.green[2]) == 2
+    for b in (3, 100):
+        counter, total, terms = census_at(y, BRANCHING_BODY, (4, 6), b)
+        assert total == 2
+        # one witness class: the leaves two levels below the root, counted
+        # as 6 paths from the root minus 2 + 2 through the pinned children
+        q = (counter.codes.code[1], counter.codes.code[4])
+        assert terms == [("C", 0, q, 2)]
+        assert counter.down(0, q) == 6
+        assert counter.down(1, q[1:]) == counter.down(2, q[1:]) == 2
 
 
 def test_census_case_a_golden():
     y = forest_of({0: 0, 1: 0, 2: 2, 3: 2, 4: 4})
-    # witness tree untouched by the anchor: count trees that are bare 2-paths
-    pattern = TightLabeledForest.of(
-        [
-            make_pattern_node((), (1,)),
-            make_pattern_node((), (), [make_pattern_node((), (2,))]),
-        ],
-        2,
-    )
-    reset_case_counters()
-    # anchored at the isolated root 4; matching witnesses live under 0 and 2
-    assert count_instances_mod(y, pattern, (4,), 5) == 2
-    assert CASE_COUNTER["A"] == 1
+    # anchored at the isolated root 4; the witnesses are the leaves under 0
+    # and 2, in trees the closure does not touch
+    counter, total, terms = census_at(y, "Lvl2(w) & !(pi(w) = v1)", (4,), 5)
+    assert total == 2
+    q = (counter.codes.code[0], counter.codes.code[1])
+    assert terms == [("A", q, 2)]
 
 
 def test_census_case_b_golden():
     y = forest_of({0: 0, 1: 0, 2: 1})
-    # both labels on the same root path: the witness position is forced
-    leaf = make_pattern_node((), (1,))
-    mid = make_pattern_node((), (2,), [leaf])
-    pattern = TightLabeledForest.of([make_pattern_node((), (), [mid])], 2)
-    reset_case_counters()
-    assert count_instances_mod(y, pattern, (2,), 2) == 1
-    assert CASE_COUNTER["B"] == 1
-    # a pattern whose closure shape does not match yields zero
-    off = TightLabeledForest.of(
-        [make_pattern_node((), (2,), [make_pattern_node((), (1,))])], 2
-    )
-    assert count_instances_mod(y, off, (2,), 2) == 0
+    # the witness is forced onto the anchor's own root path
+    counter, total, terms = census_at(y, "Lvl2(w) & pi(v1) = w", (2,), 2)
+    assert total == 1
+    assert terms == [("B", 1)]
 
 
-def test_census_matches_brute_force():
+def test_forest_tables_count_code_paths_by_brute_force():
     rng = random.Random(41)
-    checked_cases = set()
-    for trial in range(400):
-        y = random_colored_forest(rng, rng.randint(2, 12), height=4, n_marks=1)
-        verts = y.forest.vertices()
-        k = rng.choice((0, 1, 1, 2))
-        vbar = tuple(rng.choice(verts) for _ in range(k))
-        w0 = rng.choice(verts)
-        pattern = shape_at(y, vbar + (w0,))
-        b = rng.choice((2, 3, 4))
-        reset_case_counters()
-        got = count_instances_mod(y, pattern, vbar, b)
-        assert got == brute_count(y, pattern, vbar, b), f"trial {trial}"
-        checked_cases.update(k for k, v in CASE_COUNTER.items() if v)
-    assert checked_cases == {"A", "B", "C"}
-
-
-def test_census_zero_on_mismatched_closure():
-    y = branching_forest()
-    pattern = three_level_pattern((1, 2, 3))
-    # anchors on two leaves under the SAME child: closure shape differs
-    assert count_instances_mod(y, pattern, (4, 5), 3) == 0
-
-
-def test_census_label_count_validation():
-    y = branching_forest()
-    pattern = three_level_pattern((1, 2, 3))
-    with pytest.raises(ValueError, match="labels"):
-        count_instances_mod(y, pattern, (4,), 3)
+    for _ in range(100):
+        y = random_colored_forest(rng, rng.randint(1, 12), height=4, n_marks=1)
+        tables = ForestTables(y)
+        code, parent = tables.codes.code, y.forest.parent
+        down, full = Counter(), Counter()
+        for w in y.forest.vertices():
+            below = (code[w],)  # codes from just under an ancestor down to w
+            v = w
+            while parent[v] != v:
+                v = parent[v]
+                down[(v, below)] += 1
+                below = (code[v],) + below
+            full[below] += 1
+        assert tables.down == down
+        assert tables.n_table == full
+        for v in y.forest.vertices():
+            assert tables.paths_from.get(v, []) == sorted(q for (u, q) in down if u == v)
 
 
 # ---------------------------------------------------------------------------

@@ -234,14 +234,14 @@ class _TreedepthEngine:
             path.append(parent[path[-1]])
         return path[len(path) // 2]
 
-    def treedepth(self, vs: FrozenSet[int], budget: Optional[int] = None) -> int:
+    def treedepth(self, vs: FrozenSet[int]) -> int:
         """Exact tree-depth of the induced subgraph on vs."""
         comps = self.components(vs)
         if not comps:
             return 0
-        return max(self._td_connected(c, budget) for c in comps)
+        return max(self._td_connected(c) for c in comps)
 
-    def _td_connected(self, vs: FrozenSet[int], budget: Optional[int]) -> int:
+    def _td_connected(self, vs: FrozenSet[int]) -> int:
         if len(vs) == 1:
             return 1
         if len(vs) == 2:
@@ -262,7 +262,7 @@ class _TreedepthEngine:
             comps = sorted(self.components(vs - {v}), key=len, reverse=True)
             worst = 0
             for c in comps:
-                worst = max(worst, self._td_connected(c, best - 1))
+                worst = max(worst, self._td_connected(c))
                 if worst + 1 >= best:
                     break
             best = min(best, 1 + worst)
@@ -272,10 +272,10 @@ class _TreedepthEngine:
     def _min_height_root(self, vs: FrozenSet[int]) -> int:
         """Smallest vertex whose removal leaves components of tree-depth one
         less than the connected set ``vs``."""
-        td = self._td_connected(vs, None)
+        td = self._td_connected(vs)
         for v in sorted(vs):
             rest = self.components(vs - {v})
-            if max((self._td_connected(c, td) for c in rest), default=0) < td:
+            if max((self._td_connected(c) for c in rest), default=0) < td:
                 return v
         raise AssertionError("tree-depth recursion lost its witness")
 

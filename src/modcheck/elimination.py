@@ -268,14 +268,11 @@ class EliminationResult:
         # Acceptance evaluates the quantifier-free guard on the piece itself:
         # extensionally equal to evaluating its pullback on the forest (the
         # encoding is faithful), and free of the pullback's term-flattening
-        # quantifiers, so each memoized acceptance probe is a few atom reads.
+        # quantifiers, so each acceptance call is a few atom reads.  It is
+        # invariant under the forest's automorphisms, as the counter's
+        # residue memo requires, because the piece decodes from the forest.
         counter = ModForestCounter(
-            encoded,
-            sigma,
-            self.b,
-            yvar=self.yvar,
-            accept=lambda nu: eval_naive(piece_struct, sigma, nu),
-            tables=tables,
+            tables, self.b, self.xvars, self.yvar, lambda nu: eval_naive(piece_struct, sigma, nu)
         )
         name = "{}p{}w{}".format(
             self.prefix, "_".join(map(str, key[0])), key[1]
@@ -327,8 +324,9 @@ class EliminationResult:
     def residue_vector(self, valuation: Dict[str, int]) -> Dict[int, int]:
         """Residues of every realized witness type at one argument tuple."""
         tbar = self._argument_types(valuation)
+        nu = {x: valuation[x] for x in self.xvars}
         return {
-            t_idx: self.residue(tbar, t_idx, valuation)
+            t_idx: self.piece(tbar, t_idx).counter.residue(nu)
             for t_idx in range(len(self.types))
         }
 

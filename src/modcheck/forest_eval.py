@@ -23,8 +23,9 @@ Three layers:
 
 A closure is described without building it: ``typed_shape_key`` records the
 exact subtree codes along each entry's root path and, per pair of entries,
-how many levels their root paths share.  The census memoizes acceptance by
-that key, and materialization writes its shape test from it.
+how many levels their root paths share.  Tuples with equal keys are
+automorphic, so each counter memoizes its residues by the key of the
+argument tuple, and materialization writes its shape test from it.
 """
 
 from __future__ import annotations
@@ -282,13 +283,14 @@ def _pi_term(var: str, steps: int) -> Term:
 
 
 class ForestTables:
-    """Formula-independent census tables of one forest, shareable by counters:
-    exact subtree codes and, for every realized descending code-path, its
-    occurrences below each vertex (``down``, listed per vertex in
-    ``paths_from``) and from the roots (``n_table``), both read off the
-    vertices' root paths."""
+    """Formula-independent census tables of one forest ``y``, shareable by
+    counters: exact subtree codes and, for every realized descending
+    code-path, its occurrences below each vertex (``down``, listed per vertex
+    in ``paths_from``) and from the roots (``n_table``, its paths sorted once
+    in ``full_paths``), all read off the vertices' root paths."""
 
     def __init__(self, y: ColoredForest):
+        self.y = y
         self.index = _Index(y)
         self.codes = SubtreeTypeTable(y, index=self.index)
         code_path = self.codes.path
@@ -298,6 +300,7 @@ class ForestTables:
             for d in range(len(path) - 1)
         )
         self.n_table = Counter(code_path.values())
+        self.full_paths = sorted(self.n_table)
         paths_from: Dict[int, List[Tuple[int, ...]]] = {}
         for (v, q) in self.down:
             paths_from.setdefault(v, []).append(q)
@@ -311,51 +314,37 @@ class ModForestCounter:
     count mod b at ν, and materialize(c) produces an expanded forest plus a
     quantifier-free formula over parent compositions and residue marks.
 
-    The census reads the forest's ``ForestTables``, built here unless shared
-    ones are passed in; acceptance of ς on a witness class is decided once
-    per typed closure shape and memoized per counter.  The memo key is
-    ``typed_shape_key`` of (x̄, w): the exact codes along each entry's root
-    path and the levels each pair of root paths shares.  Tuples with equal
-    keys are automorphic, so one representative suffices, and
-    materialization writes ζ's shape test from the same key.  The forest
-    structure is built only for the default acceptance test.
+    The census reads the forest's shared ``ForestTables`` and decides each
+    witness class on one representative with ``accept``, a callback on
+    valuations of ``xvars`` and ``yvar``.  The callback must be invariant
+    under mark-preserving forest automorphisms (any evaluation against a
+    structure the forest encodes qualifies, since decoding commutes with
+    such automorphisms): tuples with equal ``typed_shape_key`` are
+    automorphic, so residue(ν) is memoized by the key of ν's argument tuple,
+    and materialization writes ζ's shape test from the same key.
+    ``forest_counter`` builds a counter whose callback evaluates ς on the
+    forest structure.
     """
 
     def __init__(
         self,
-        y: ColoredForest,
-        sigma: Formula,
+        tables: ForestTables,
         b: int,
-        yvar: Optional[str] = None,
-        accept: Optional[Callable[[Dict[str, int]], bool]] = None,
-        tables: Optional[ForestTables] = None,
+        xvars: Tuple[str, ...],
+        yvar: str,
+        accept: Callable[[Dict[str, int]], bool],
     ):
-        """`accept`, when given, replaces the default acceptance test
-        (evaluating `sigma` on the forest structure) with a callback on the
-        same valuations.  The callback must be invariant under
-        mark-preserving forest automorphisms — any evaluation against a
-        structure the forest encodes qualifies, since decoding commutes with
-        such automorphisms — because results are memoized by argument shape.
-        Only then may `sigma` leave the forest vocabulary; it still names
-        the variables.  `tables` must be built on `y`."""
         if b < 1:
             raise ValueError("modulus must be positive")
-        self.y = y
+        self.tables = tables
+        self.y = tables.y
+        self.index = tables.index
+        self.codes = tables.codes
         self.b = b
-        fv = free_vars(sigma)
-        if yvar is None:
-            if not fv:
-                raise ValueError("witness variable must be given for a closed formula")
-            yvar = fv[-1]
+        self.xvars = xvars
         self.yvar = yvar
-        self.xvars: Tuple[str, ...] = tuple(v for v in fv if v != yvar)
-        self.sigma = sigma
-        self.tables = tables or ForestTables(y)
-        self.index = self.tables.index
-        self.codes = self.tables.codes
-        self._fs = forest_structure(y) if accept is None else None
         self._accept_fn = accept
-        self._accept_memo: Dict[tuple, bool] = {}
+        self._residues: Dict[tuple, int] = {}
 
     # -- tables -------------------------------------------------------------
 
@@ -372,17 +361,9 @@ class ModForestCounter:
     # -- acceptance ---------------------------------------------------------
 
     def _accept(self, vbar: Tuple[int, ...], w: int) -> bool:
-        key = typed_shape_key(self.codes, vbar + (w,))
-        hit = self._accept_memo.get(key)
-        if hit is None:
-            nu = dict(zip(self.xvars, vbar))
-            nu[self.yvar] = w
-            if self._accept_fn is not None:
-                hit = self._accept_fn(nu)
-            else:
-                hit = eval_naive(self._fs, self.sigma, nu)
-            self._accept_memo[key] = hit
-        return hit
+        nu = dict(zip(self.xvars, vbar))
+        nu[self.yvar] = w
+        return self._accept_fn(nu)
 
     # -- witness search -----------------------------------------------------
 
@@ -415,7 +396,11 @@ class ModForestCounter:
             vbar = tuple(nu[x] for x in self.xvars)
         except KeyError as exc:
             raise ValueError(f"valuation missing variable {exc.args[0]!r}") from None
-        return self._residue_at(vbar)[0]
+        key = typed_shape_key(self.codes, vbar)
+        hit = self._residues.get(key)
+        if hit is None:
+            hit = self._residues[key] = self._residue_at(vbar)[0]
+        return hit
 
     def _residue_at(self, vbar: Tuple[int, ...]) -> Tuple[int, list]:
         """Witness count mod b plus the class terms it was assembled from."""
@@ -442,7 +427,7 @@ class ModForestCounter:
                     total += cnt
                     terms.append(("C", s, q, cnt))
         croots = set(closure_roots)
-        for qfull in sorted(self.tables.n_table):
+        for qfull in self.tables.full_paths:
             cnt = self.tables.n_table[qfull] - sum(self.root_count(r, qfull) for r in closure_roots)
             if cnt % self.b == 0:
                 continue
@@ -572,6 +557,21 @@ class ModForestCounter:
         return ColoredForest(self.y.forest, sig, marks, dict(self.y.edge_marks), dict(self.y.func_marks))
 
 
+def forest_counter(y: ColoredForest, sigma: Formula, b: int, yvar: Optional[str] = None) -> ModForestCounter:
+    """Counter for ∃^{c mod b} y ς with ς over y's forest vocabulary,
+    accepting by evaluating ς on the forest structure.  The witness
+    variable defaults to ς's last free variable; the others, in order of
+    first occurrence, are the arguments."""
+    fv = free_vars(sigma)
+    if yvar is None:
+        if not fv:
+            raise ValueError("witness variable must be given for a closed formula")
+        yvar = fv[-1]
+    fs = forest_structure(y)
+    xvars = tuple(v for v in fv if v != yvar)
+    return ModForestCounter(ForestTables(y), b, xvars, yvar, lambda nu: eval_naive(fs, sigma, nu))
+
+
 def eliminate_mod_on_forest(
     y: ColoredForest,
     sigma: Formula,
@@ -591,5 +591,4 @@ def eliminate_mod_on_forest(
     """
     if height_bound is not None and y.forest.height > height_bound:
         raise ValueError(f"forest height {y.forest.height} exceeds bound {height_bound}")
-    counter = ModForestCounter(y, sigma, b, yvar=yvar)
-    return counter.materialize(c, mark_prefix=mark_prefix)
+    return forest_counter(y, sigma, b, yvar).materialize(c, mark_prefix=mark_prefix)

@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+from modcheck import forest_codec, forest_eval
 from modcheck.coloring import optimal_elimination_forest
 from modcheck.elimination import (
     UnsupportedFragmentError,
@@ -38,7 +39,7 @@ from modcheck.logic import (
 )
 from modcheck.structures import GuidedStructure, Signature, expand_monadic, gaifman, restrict
 
-from gens import random_guided_structure, random_quantifier_free
+from gens import random_guided_structure, random_quantifier_free, trace_events
 
 
 def all_args(m, xvars):
@@ -494,15 +495,20 @@ def test_evaluation_touches_only_the_pieces_of_the_bound_types():
     )
 
 
-def test_pieces_share_forest_tables_per_base_and_build_no_forest_structure():
+def test_pieces_share_forest_tables_per_base_and_build_no_forest_structure(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a piece built a forest structure")
+
+    for module in (forest_codec, forest_eval):
+        monkeypatch.setattr(module, "forest_structure", refuse)
     m = chain_structure(8)
     phi = parse_formula("Emod[1,2] y . adj(x, f0(y))", m.signature)
     res = eliminate_one(m, 1, 2, phi.body, "y")
     assert len(res.types) >= 2
     for v in m.domain:
         assert res.eval({"x": v}) == eval_naive(m, phi, {"x": v})
+    monkeypatch.undo()
     pieces = list(res._pieces.values())
-    assert all(piece.counter._fs is None for piece in pieces)
     shared = 0
     for p1, p2 in itertools.combinations(pieces, 2):
         if p1.colors == p2.colors:
@@ -762,6 +768,19 @@ def test_count_definable_matches_the_naive_counter():
         m = random_guided_structure(rng, 8 + trial % 4, family="planar", n_funcs=1)
         phi = parse_formula(texts[trial % 3], m.signature)
         assert count_definable(m, phi) == count_naive(m, phi)
+
+
+def test_count_definable_scales_linearly_on_marked_inputs():
+    # marks make exact subtree codes, and so the census's code paths, grow
+    # with n; one census per argument shape keeps the whole pipeline linear
+    def work(family, n):
+        m = random_guided_structure(random.Random(7), n, family=family, n_marks=2, n_funcs=0)
+        phi = parse_formula("Emod[1,3] y . (adj(x, y) & !P0(y))", m.signature)
+        return trace_events(count_definable, m, phi)
+
+    for family in ("maxdeg", "planar"):
+        small, big = work(family, 256), work(family, 1024)
+        assert big / small <= 4.0, (family, small, big)
 
 
 def test_count_definable_falls_back_and_logs(caplog):

@@ -188,7 +188,7 @@ def test_pullback_edge_atom_semantics():
             assert eval_naive(fs, psi, nu) == eval_naive(m, phi, nu)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6), st.integers(1, 9))
 def test_pullback_agrees_with_decode_then_eval(seed, n):
     rng = random.Random(seed)

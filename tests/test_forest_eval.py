@@ -15,6 +15,7 @@ from modcheck.forest_eval import (
     SubtreeTypeTable,
     eliminate_mod_on_forest,
     eval_forest,
+    forest_counter,
     reset_case_counters,
     typed_shape_key,
 )
@@ -331,7 +332,7 @@ def census_at(y, body, vbar, b):
     """Residue and contributing terms of the census for Emod[.,b] w . body
     at vbar, the body parsed over y's forest vocabulary."""
     sigma = parse_formula(body, forest_signature(y.signature, y.forest.height))
-    counter = ModForestCounter(y, sigma, b, yvar="w")
+    counter = forest_counter(y, sigma, b, "w")
     return counter, *counter._residue_at(tuple(vbar))
 
 
@@ -406,11 +407,38 @@ def test_engine_residue_matches_witness_count():
         fv = ("v1", "v2")[:k]
         sigma = random_quantifier_free(rng, fsig, list(fv) + ["w"], depth=2, max_funcs=2)
         b = rng.choice((2, 3, 4, 5))
-        counter = ModForestCounter(y, sigma, b, yvar="w")
+        counter = forest_counter(y, sigma, b, "w")
         fs = forest_structure(y)
         for _ in range(3):
             nu = {v: rng.choice(y.forest.vertices()) for v in fv}
             assert counter.residue(nu) == count_witnesses(fs, sigma, "w", nu) % b
+
+
+def test_counter_memoizes_residues_by_argument_shape():
+    y = branching_forest()
+    fs = forest_structure(y)
+    sigma = parse_formula(BRANCHING_BODY, forest_signature(y.signature, y.forest.height))
+    calls = []
+
+    def accept(nu):
+        calls.append(nu)
+        return eval_naive(fs, sigma, nu)
+
+    counter = ModForestCounter(ForestTables(y), 3, ("v1", "v2"), "w", accept)
+    codes = counter.codes
+    # (4, 6) and (5, 8) are automorphic; (4, 5) puts both entries under one child
+    assert typed_shape_key(codes, (4, 6)) == typed_shape_key(codes, (5, 8))
+    assert typed_shape_key(codes, (4, 5)) != typed_shape_key(codes, (4, 6))
+    first = counter.residue({"v1": 4, "v2": 6})
+    assert calls
+    seen = len(calls)
+    assert counter.residue({"v1": 5, "v2": 8}) == first
+    assert len(calls) == seen  # an equal key makes no acceptance call
+    counter.residue({"v1": 4, "v2": 5})
+    assert len(calls) > seen  # a new shape runs the census
+    for vbar in itertools.product(y.forest.vertices(), repeat=2):
+        nu = dict(zip(("v1", "v2"), vbar))
+        assert counter.residue(nu) == forest_counter(y, sigma, 3, "w").residue(nu), vbar
 
 
 def test_eliminate_extensional_contract():
@@ -500,7 +528,7 @@ def test_case_counters_reachable_through_engine():
         y = random_colored_forest(rng, 9, height=3)
         fsig = forest_signature(y.signature, y.forest.height)
         sigma = random_quantifier_free(rng, fsig, ["v1", "w"], depth=1, max_funcs=1)
-        counter = ModForestCounter(y, sigma, 3, yvar="w")
+        counter = forest_counter(y, sigma, 3, "w")
         for v in y.forest.vertices():
             counter.residue({"v1": v})
     assert CASE_COUNTER["A"] > 0 and CASE_COUNTER["B"] > 0 and CASE_COUNTER["C"] > 0

@@ -42,7 +42,7 @@ from .logic import (
     or_all,
     walk,
 )
-from .structures import GraphFormatError, GuidedStructure, Signature
+from .structures import GraphFormatError, GuidedStructure, Signature, _read_ints, _read_lines
 
 
 class DecodeConflictError(ValueError):
@@ -200,25 +200,25 @@ def decode_IS(y: ColoredForest) -> GuidedStructure:
     distinct images for one argument is a hard DecodeConflictError.
     """
     forest = y.forest
-    edges = []
-    for (j, i), vs in sorted(y.edge_marks.items()):
-        for v in vs:
-            edges.append((forest.ancestor_at_level(v, j), v))
-    functions: Dict[str, Dict[int, int]] = {f: {} for f in y.signature.unary_functions}
-    def claim(fname: str, arg: int, img: int) -> None:
-        prev = functions[fname].get(arg)
-        if prev is not None and prev != img:
-            raise DecodeConflictError(f"conflicting images {prev} and {img} for {fname}({arg})")
-        functions[fname][arg] = img
-
-    for (fname, j, i, eps), vs in sorted(y.func_marks.items()):
+    domain = forest.vertices()
+    edges = set()
+    for (j, i), vs in y.edge_marks.items():
         for v in vs:
             anc = forest.ancestor_at_level(v, j)
-            if eps == 1:
-                claim(fname, v, anc)
-            else:
-                claim(fname, anc, v)
-    return GuidedStructure(y.signature, forest.vertices(), edges, dict(y.marks), functions)
+            edges.add((anc, v) if anc < v else (v, anc))
+    functions: Dict[str, Dict[int, int]] = {f: {} for f in y.signature.unary_functions}
+    for (fname, j, i, eps), vs in sorted(y.func_marks.items()):
+        fmap = functions[fname]
+        for v in vs:
+            anc = forest.ancestor_at_level(v, j)
+            arg, img = (v, anc) if eps == 1 else (anc, v)
+            if fmap.setdefault(arg, img) != img:
+                raise DecodeConflictError(f"conflicting images {fmap[arg]} and {img} for {fname}({arg})")
+    for fmap in functions.values():
+        for v in domain:
+            fmap.setdefault(v, v)
+    # y's own checks cover the constructor's
+    return GuidedStructure._assemble(y.signature, domain, tuple(sorted(edges)), dict(y.marks), functions)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +265,9 @@ def forest_structure(y: ColoredForest, height: Optional[int] = None) -> GuidedSt
             for j in range(1, i):
                 for eps in (0, 1):
                     marks[func_mark_name(fname, j, i, eps)] = y.func_marks.get((fname, j, i, eps), ())
-    edges = [(v, y.forest.parent[v]) for v in y.forest.vertices() if y.forest.parent[v] != v]
+    edges = sorted((p, v) if p < v else (v, p) for v, p in y.forest.parent.items() if p != v)
     functions = {PARENT_FUNCTION: dict(y.forest.parent)}
-    return GuidedStructure(sig, y.forest.vertices(), edges, marks, functions)
+    return GuidedStructure._assemble(sig, y.forest.vertices(), tuple(edges), marks, functions)
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +428,10 @@ def pullback_IS(phi: Formula, sig: Signature, height: int) -> Formula:
 def parse_forest(text: str) -> ColoredForest:
     rels: List[str] = []
     fns: List[str] = []
-    roots: List[int] = []
+    roots: Dict[int, None] = {}  # an ordered set
     links: Dict[int, int] = {}
     mark_lines: List[Tuple[int, int, str]] = []
-
-    def need_int(tok: str, lineno: int) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise GraphFormatError(lineno, f"expected integer, got {tok!r}") from None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for lineno, toks in _read_lines(text):
         head, rest = toks[0], toks[1:]
         if head == "rel":
             if len(rest) != 1:
@@ -455,18 +444,19 @@ def parse_forest(text: str) -> ColoredForest:
         elif head == "r":
             if len(rest) != 1:
                 raise GraphFormatError(lineno, "'r' takes one vertex id")
-            roots.append(need_int(rest[0], lineno))
+            (r,) = _read_ints(rest, lineno)
+            roots[r] = None
         elif head == "p":
             if len(rest) != 2:
                 raise GraphFormatError(lineno, "'p' takes child and parent ids")
-            c, p = need_int(rest[0], lineno), need_int(rest[1], lineno)
+            c, p = _read_ints(rest, lineno)
             if c in links or c in roots:
                 raise GraphFormatError(lineno, f"vertex {c} already placed")
             links[c] = p
         elif head == "m":
             if len(rest) < 2:
                 raise GraphFormatError(lineno, "'m' takes a vertex id and marks")
-            v = need_int(rest[0], lineno)
+            (v,) = _read_ints(rest[:1], lineno)
             for mk in rest[1:]:
                 mark_lines.append((lineno, v, mk))
         else:
@@ -493,7 +483,10 @@ def parse_forest(text: str) -> ColoredForest:
         depth(v)
     forest = EliminationForest(parent, level)
 
-    sig = Signature(tuple(rels), tuple(fns))
+    try:
+        sig = Signature(tuple(rels), tuple(fns))
+    except ValueError as exc:  # a repeated name
+        raise GraphFormatError(1, str(exc)) from None
     marks: Dict[str, List[int]] = {name: [] for name in rels}
     edge_marks: Dict[Tuple[int, int], List[int]] = {}
     func_marks: Dict[Tuple[str, int, int, int], List[int]] = {}

@@ -15,10 +15,11 @@ constants) — so products against set-rank constants never materialize dense
 intermediates.
 
 The public ``SparseFieldMatrix`` constructor checks the field and every index
-and reduces every value mod p, since parsed and caller-supplied entries may
-be anything.  The matrices the evaluator computes itself (products, sums,
-Hadamard products, transposes, scalings and materializations) are built from
-values it has already reduced at indices it has already checked, so they go
+and reduces every value mod p, since caller-supplied entries may be anything;
+``parse_matrix`` does the same for the entries of a file it reads.  The
+matrices the evaluator computes itself (products, sums, Hadamard products,
+transposes, scalings and materializations) are built from values it has
+already reduced at indices it has already checked.  Those and parsed ones go
 through ``SparseFieldMatrix._computed``, which only drops zeros; checking
 them again would cost as much as computing them.
 """
@@ -31,7 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from .structures import degeneracy_order
+from .structures import _read_ints, _read_lines, degeneracy_order
 
 logger = logging.getLogger("modcheck.matrix")
 
@@ -39,7 +40,16 @@ MAX_PRIME = 257
 
 
 class MatrixFormatError(ValueError):
-    pass
+    """A malformed matrix file or expression; for a file, ``lineno`` is the
+    1-based line at fault."""
+
+    lineno: Optional[int] = None
+
+    @classmethod
+    def at(cls, lineno: int, message: str) -> "MatrixFormatError":
+        err = cls(f"line {lineno}: {message}")
+        err.lineno = lineno
+        return err
 
 
 def _is_prime(p: int) -> bool:
@@ -311,11 +321,6 @@ def build_marking(m: SparseFieldMatrix, r: int) -> SetRankMatrix:
     return SetRankMatrix(
         p=m.p, n=m.n, r=r, basis=basis, row_class=row_class, col_sets=col_sets
     )
-
-
-def query_qd(s: SetRankMatrix, d: int, i: int, j: int) -> bool:
-    """The entry test "M[i,j] = d" as the subset-mark disjunction."""
-    return s.query(d, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -780,34 +785,58 @@ def _walk_expr(node: MatrixExpr):
 
 
 def parse_matrix(text: str) -> SparseFieldMatrix:
-    """Parse the matrix file format: ``p <prime>``, ``n <dim>``, then
-    ``<i> <j> <val>`` triples; blank lines and ``#`` comments allowed."""
+    """Parse the matrix file format: ``p <prime>`` and ``n <dim>`` headers,
+    each once and before the entries, then ``<i> <j> <val>`` triples.
+
+    Headers are checked as they are read.  The entries are converted,
+    range-checked, deduplicated and reduced mod p in bulk after the reading
+    pass; only a file that fails there is walked entry by entry, to name
+    the line of its first bad entry."""
+    at = MatrixFormatError.at
     p = n = None
-    entries: Dict[Tuple[int, int], int] = {}
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "p" and len(parts) == 2:
-            p = int(parts[1])
-        elif parts[0] == "n" and len(parts) == 2:
-            n = int(parts[1])
-        elif len(parts) == 3:
+    lines: List[int] = []  # the line of each entry
+    fields: List[str] = []  # i, j and value of each entry, in a row
+    for ln, toks in _read_lines(text):
+        if len(toks) == 3:
             if p is None or n is None:
-                raise MatrixFormatError(f"line {ln}: entry before p/n headers")
-            i, j, v = map(int, parts)
-            if (i, j) in entries:
-                raise MatrixFormatError(f"line {ln}: duplicate entry ({i},{j})")
-            entries[(i, j)] = v
+                raise at(ln, "entry before p/n headers")
+            lines.append(ln)
+            fields += toks
+        elif len(toks) == 2 and toks[0] in ("p", "n"):
+            # both headers come before any entry, so a late one is a repeat
+            if (p if toks[0] == "p" else n) is not None:
+                raise at(ln, f"repeated '{toks[0]}' header")
+            (value,) = _read_ints(toks[1:], ln, at)
+            if toks[0] == "p":
+                try:
+                    check_field(value)
+                except ValueError as exc:
+                    raise at(ln, str(exc)) from None
+                p = value
+            elif value < 0:
+                raise at(ln, "dimension must be nonnegative")
+            else:
+                n = value
         else:
-            raise MatrixFormatError(f"line {ln}: cannot parse {raw!r}")
+            raise at(ln, f"cannot parse {' '.join(toks)!r}")
     if p is None or n is None:
-        raise MatrixFormatError("missing p or n header")
+        raise at(1, "missing p or n header")
     try:
-        return SparseFieldMatrix(p, n, entries)
-    except ValueError as exc:
-        raise MatrixFormatError(str(exc)) from None
+        values = list(map(int, fields))
+    except ValueError:  # read each entry alone: the first bad one raises
+        for k, ln in enumerate(lines):
+            _read_ints(fields[3 * k : 3 * k + 3], ln, at)
+    rows, cols = values[0::3], values[1::3]
+    entries = {ij: v % p for ij, v in zip(zip(rows, cols), values[2::3])}
+    if len(entries) < len(lines) or lines and not 0 <= min(rows + cols) <= max(rows + cols) < n:
+        seen = set()
+        for ln, i, j in zip(lines, rows, cols):
+            if not (0 <= i < n and 0 <= j < n):
+                raise at(ln, f"index ({i},{j}) outside [0,{n})")
+            if (i, j) in seen:
+                raise at(ln, f"duplicate entry ({i},{j})")
+            seen.add((i, j))
+    return SparseFieldMatrix._computed(p, n, entries)
 
 
 def format_matrix(m: SparseFieldMatrix) -> str:

@@ -4,22 +4,44 @@ A guided structure is a finite simple graph with named unary relations (marks)
 and named unary functions, where every function either fixes a vertex or moves
 it to a neighbor.  This module owns the structure type, its vocabulary, the
 Gaifman graph, restriction with function clamping, monadic expansion, and the
-plain-text graph file format.
+plain-text graph file format, whose line reader the other text formats share.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 class GraphFormatError(ValueError):
-    """Raised on malformed graph files; carries the 1-based line number."""
+    """Raised on malformed input files; carries the 1-based line number."""
 
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+def _read_lines(text: str) -> Iterator[Tuple[int, List[str]]]:
+    """(1-based line number, tokens) of every non-blank line, the ``#``
+    comment stripped: the line rules all the text formats share."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if tokens:
+            yield lineno, tokens
+
+
+def _read_ints(tokens: Sequence[str], lineno: int, error=GraphFormatError) -> List[int]:
+    """The integer fields of a line; a bad one raises ``error`` naming it."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise error(lineno, f"expected integer, got {tok!r}") from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,9 +112,6 @@ class Graph:
 
     def edges(self) -> List[Tuple[int, int]]:
         return [(u, v) for u in self.vertices for v in self.adj[u] if u < v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def induced(self, subset: Iterable[int]) -> "Graph":
         sub = set(subset)
@@ -170,9 +189,8 @@ class GuidedStructure:
         marks: Optional[Dict[str, Iterable[int]]] = None,
         functions: Optional[Dict[str, Dict[int, int]]] = None,
     ):
-        self.signature = signature
-        self.domain: Tuple[int, ...] = tuple(sorted(set(domain)))
-        dset = set(self.domain)
+        domain = tuple(sorted(set(domain)))
+        dset = set(domain)
 
         norm = set()
         for u, v in edges:
@@ -181,38 +199,59 @@ class GuidedStructure:
             if u not in dset or v not in dset:
                 raise ValueError(f"edge ({u},{v}) leaves domain")
             norm.add((min(u, v), max(u, v)))
-        self.edges: Tuple[Tuple[int, int], ...] = tuple(sorted(norm))
-        adj: Dict[int, set] = {v: set() for v in self.domain}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj: Dict[int, frozenset] = {v: frozenset(adj[v]) for v in self.domain}
 
         marks = marks or {}
-        self.marks: Dict[str, Tuple[int, ...]] = {}
+        norm_marks: Dict[str, Tuple[int, ...]] = {}
         for name in signature.unary_relations:
             vs = tuple(sorted(set(marks.get(name, ()))))
             if not set(vs) <= dset:
                 raise ValueError(f"mark {name!r} leaves domain")
-            self.marks[name] = vs
+            norm_marks[name] = vs
         unknown = set(marks) - set(signature.unary_relations)
         if unknown:
             raise ValueError(f"marks not in signature: {sorted(unknown)}")
 
         functions = functions or {}
-        self.functions: Dict[str, Dict[int, int]] = {}
+        norm_functions: Dict[str, Dict[int, int]] = {}
         for name in signature.unary_functions:
             fmap = dict(functions.get(name, {}))
-            for v in self.domain:
+            for v in domain:
                 fmap.setdefault(v, v)
             if set(fmap) != dset:
                 raise ValueError(f"function {name!r} not total on domain")
             if not set(fmap.values()) <= dset:
                 raise ValueError(f"function {name!r} leaves domain")
-            self.functions[name] = fmap
+            norm_functions[name] = fmap
         unknown = set(functions) - set(signature.unary_functions)
         if unknown:
             raise ValueError(f"functions not in signature: {sorted(unknown)}")
+
+        self._fill(signature, domain, tuple(sorted(norm)), norm_marks, norm_functions)
+
+    def _fill(self, signature, domain, edges, marks, functions, adj=None) -> None:
+        if adj is None:
+            sets: Dict[int, set] = {v: set() for v in domain}
+            for u, v in edges:
+                sets[u].add(v)
+                sets[v].add(u)
+            adj = {v: frozenset(ns) for v, ns in sets.items()}
+        self.signature = signature
+        self.domain: Tuple[int, ...] = domain
+        self.edges: Tuple[Tuple[int, int], ...] = edges
+        self._adj: Dict[int, frozenset] = adj
+        self.marks: Dict[str, Tuple[int, ...]] = marks
+        self.functions: Dict[str, Dict[int, int]] = functions
+
+    @classmethod
+    def _assemble(cls, signature, domain, edges, marks, functions, adj=None) -> "GuidedStructure":
+        """A structure from parts that hold the constructor's checks and are
+        in its normal form (sorted domain and edges, u < v in each edge, one
+        sorted mark tuple per relation in signature order, total function
+        maps), with no check.  The constructor ends in the same ``_fill``.
+        ``adj`` (vertex -> frozenset of neighbours) is built if not given."""
+        out = cls.__new__(cls)
+        out._fill(signature, domain, edges, marks, functions, adj)
+        return out
 
     def __len__(self) -> int:
         return len(self.domain)
@@ -262,9 +301,6 @@ class GuidedStructure:
                     cached.setdefault(v, []).append(name)
             self._marks_by_vertex_cache = cached
         return cached
-
-    def apply(self, fname: str, v: int) -> int:
-        return self.functions[fname][v]
 
 
 def validate_guided(m: GuidedStructure) -> None:
@@ -321,25 +357,22 @@ def restrict(m: GuidedStructure, subset: Iterable[int]) -> GuidedStructure:
     functions = {}
     for name, fmap in m.functions.items():
         functions[name] = {v: (fmap[v] if fmap[v] in sset else v) for v in sub}
-    out = GuidedStructure.__new__(GuidedStructure)
-    out.signature = m.signature
-    out.domain = sub
-    out.edges = tuple(sorted((u, v) for u in sub for v in adj[u] if u < v))
-    out._adj = adj
-    out.marks = {name: tuple(vs) for name, vs in marks.items()}
-    out.functions = functions
-    return out
+    edges = tuple(sorted((u, v) for u in sub for v in adj[u] if u < v))
+    return GuidedStructure._assemble(
+        m.signature, sub, edges, {name: tuple(vs) for name, vs in marks.items()}, functions, adj
+    )
 
 
 def expand_monadic(m: GuidedStructure, new_marks: Dict[str, Iterable[int]]) -> GuidedStructure:
-    """Expansion by fresh unary marks; name clashes are errors."""
-    for name, vs in new_marks.items():
-        if not set(vs) <= set(m.domain):
+    """Expansion by fresh unary marks; name clashes are errors.  Only the new
+    marks are checked: the rest is `m`'s own, shared with the result."""
+    added = {name: frozenset(vs) for name, vs in new_marks.items()}
+    for name, vs in added.items():
+        if not m._adj.keys() >= vs:
             raise ValueError(f"new mark {name!r} leaves domain")
-    sig = m.signature.with_relations(sorted(new_marks))
-    marks = dict(m.marks)
-    marks.update({name: tuple(sorted(set(vs))) for name, vs in new_marks.items()})
-    return GuidedStructure(sig, m.domain, m.edges, marks, m.functions)
+    sig = m.signature.with_relations(sorted(added))
+    marks = {**m.marks, **{name: tuple(sorted(added[name])) for name in sorted(added)}}
+    return GuidedStructure._assemble(sig, m.domain, m.edges, marks, m.functions, m._adj)
 
 
 # ---------------------------------------------------------------------------
@@ -355,81 +388,78 @@ def expand_monadic(m: GuidedStructure, new_marks: Dict[str, Iterable[int]]) -> G
 # ---------------------------------------------------------------------------
 
 
-def parse_graph(text: str) -> GuidedStructure:
-    n = None
-    mark_order: List[str] = []
-    func_order: List[str] = []
-    vertex_marks: Dict[str, List[int]] = {}
-    edges: List[Tuple[int, int]] = []
-    edge_seen = set()
-    func_entries: Dict[str, Dict[int, int]] = {}
-
-    def need_int(tok: str, lineno: int) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise GraphFormatError(lineno, f"expected integer, got {tok!r}") from None
-
-    def need_vertex(tok: str, lineno: int) -> int:
-        v = need_int(tok, lineno)
-        if n is None:
-            raise GraphFormatError(lineno, "vertex before 'n' line")
+def _read_vertices(tokens: Sequence[str], lineno: int, n: Optional[int]) -> List[int]:
+    ids = _read_ints(tokens, lineno)
+    if n is None:
+        raise GraphFormatError(lineno, "vertex before 'n' line")
+    for v in ids:
         if not 0 <= v < n:
             raise GraphFormatError(lineno, f"vertex {v} out of range 0..{n - 1}")
-        return v
+    return ids
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+
+def parse_graph(text: str) -> GuidedStructure:
+    """Read a graph file, checking each line as it comes, and assemble the
+    structure from the checked lines without a second pass of checks."""
+    n = None
+    adj: Dict[int, set] = {}
+    edges: List[Tuple[int, int]] = []
+    marks: Dict[str, set] = {}  # in order of first use, as is the signature
+    functions: Dict[str, Dict[int, int]] = {}
+    for lineno, toks in _read_lines(text):
         head, rest = toks[0], toks[1:]
         if head == "n":
             if n is not None:
                 raise GraphFormatError(lineno, "duplicate 'n' line")
             if len(rest) != 1:
                 raise GraphFormatError(lineno, "'n' takes one argument")
-            n = need_int(rest[0], lineno)
+            (n,) = _read_ints(rest, lineno)
             if n < 0:
                 raise GraphFormatError(lineno, "negative vertex count")
+            adj = {v: set() for v in range(n)}
         elif head == "v":
             if not rest:
                 raise GraphFormatError(lineno, "'v' needs a vertex id")
-            v = need_vertex(rest[0], lineno)
+            (v,) = _read_vertices(rest[:1], lineno, n)
             for mark in rest[1:]:
-                if mark not in vertex_marks:
-                    vertex_marks[mark] = []
-                    mark_order.append(mark)
-                vertex_marks[mark].append(v)
+                marks.setdefault(mark, set()).add(v)
         elif head == "e":
             if len(rest) != 2:
                 raise GraphFormatError(lineno, "'e' takes two vertex ids")
-            u, v = need_vertex(rest[0], lineno), need_vertex(rest[1], lineno)
+            u, v = _read_vertices(rest, lineno, n)
             if u == v:
                 raise GraphFormatError(lineno, f"self-loop at {u}")
-            key = (min(u, v), max(u, v))
-            if key in edge_seen:
+            if v in adj[u]:
                 raise GraphFormatError(lineno, f"parallel edge ({u},{v})")
-            edge_seen.add(key)
-            edges.append(key)
+            adj[u].add(v)
+            adj[v].add(u)
+            edges.append((u, v) if u < v else (v, u))
         elif head == "f":
             if len(rest) != 3:
                 raise GraphFormatError(lineno, "'f' takes a name and two vertex ids")
             name = rest[0]
-            u, v = need_vertex(rest[1], lineno), need_vertex(rest[2], lineno)
-            if name not in func_entries:
-                func_entries[name] = {}
-                func_order.append(name)
-            if u in func_entries[name] and func_entries[name][u] != v:
+            u, v = _read_vertices(rest[1:], lineno, n)
+            fmap = functions.setdefault(name, {})
+            if fmap.get(u, v) != v:
                 raise GraphFormatError(lineno, f"conflicting images for {name}({u})")
-            func_entries[name][u] = v
+            fmap[u] = v
         else:
             raise GraphFormatError(lineno, f"unknown directive {head!r}")
 
     if n is None:
         raise GraphFormatError(1, "missing 'n' line")
-    sig = Signature(tuple(mark_order), tuple(func_order))
-    return GuidedStructure(sig, range(n), edges, vertex_marks, func_entries)
+    try:
+        sig = Signature(tuple(marks), tuple(functions))
+    except ValueError as exc:  # a mark and a function share a name
+        raise GraphFormatError(1, str(exc)) from None
+    domain = tuple(range(n))
+    for fmap in functions.values():
+        for v in domain:
+            fmap.setdefault(v, v)
+    return GuidedStructure._assemble(
+        sig, domain, tuple(sorted(edges)), {name: tuple(sorted(vs)) for name, vs in marks.items()},
+        functions, {v: frozenset(ns) for v, ns in adj.items()},
+    )
 
 
 def serialize_graph(m: GuidedStructure) -> str:

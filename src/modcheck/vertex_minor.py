@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .structures import Graph
+from .structures import Graph, GraphFormatError, _read_lines
 
 
 class IndependenceError(ValueError):
@@ -129,25 +129,21 @@ def parse_steps(text: str) -> List[VmStep]:
     ``S <v...>`` line attaching the final deletion; ``#`` comments allowed."""
     sets: List[Tuple[int, ...]] = []
     delete: Optional[Tuple[int, ...]] = None
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for ln, parts in _read_lines(text):
         try:
             vertices = tuple(int(x) for x in parts[1:])
         except ValueError:
-            raise ValueError(f"line {ln}: vertex ids must be integers") from None
+            raise GraphFormatError(ln, "vertex ids must be integers") from None
         if parts[0] == "I":
             if delete is not None:
-                raise ValueError(f"line {ln}: complementation set after the deletion line")
+                raise GraphFormatError(ln, "complementation set after the deletion line")
             sets.append(vertices)
         elif parts[0] == "S":
             if delete is not None:
-                raise ValueError(f"line {ln}: second deletion line")
+                raise GraphFormatError(ln, "second deletion line")
             delete = vertices
         else:
-            raise ValueError(f"line {ln}: expected an I or S line, got {raw!r}")
+            raise GraphFormatError(ln, f"expected an I or S line, got {' '.join(parts)!r}")
     if not sets:
         return [VmStep((), delete or ())]
     steps = [VmStep(s) for s in sets[:-1]]

@@ -32,7 +32,6 @@ from modcheck.matrix import (
     identity_matrix,
     parse_expr,
     parse_matrix,
-    query_qd,
     rank_F2,
     rank_Fp,
     slice_matrix,
@@ -257,7 +256,7 @@ def test_marking_reconstructs_every_entry():
             for j in range(n):
                 assert marked.entry(i, j) == m.entry(i, j)
                 for d in m.domain():
-                    assert query_qd(marked, d, i, j) == (m.entry(i, j) == d)
+                    assert marked.query(d, i, j) == (m.entry(i, j) == d)
 
 
 def test_marking_budget_is_enforced():
@@ -658,21 +657,45 @@ def test_matrix_parse_allows_comments_and_blank_lines():
     assert m == SparseFieldMatrix(5, 2, {(0, 1): 3})
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "n 2\n0 0 1\n",  # entry before p
-        "p 3\n0 0 1\n",  # entry before n
-        "p 3\nn 2\n0 0 1\n0 0 2\n",  # duplicate
-        "p 3\nn 2\nhello\n",  # garbage
-        "p 3\n",  # missing n
-        "p 4\nn 2\n",  # composite field
-        "p 3\nn 2\n0 5 1\n",  # column out of range
-    ],
-)
+# malformed file -> the line its error names
+MALFORMED_MATRIX_FILES = {
+    "n 2\n0 0 1\n": 2,  # entry before p
+    "p 3\n0 0 1\n": 2,  # entry before n
+    "p 3\nn 2\n0 0 1\n0 0 2\n": 4,  # duplicate
+    "p 3\nn 2\nhello\n": 3,  # garbage
+    "p 3\n": 1,  # missing n
+    "p 4\nn 2\n": 1,  # composite field
+    "p 3\nn 2\n0 5 1\n": 3,  # column out of range
+    "p 3\nn 2\nn 3\n": 3,  # repeated n
+    "p 3\nn 2\n0 0 1\np 5\n": 4,  # header after the entries
+    "p three\nn 2\n": 1,  # non-integer field
+    "p 3\nn 2\n1 1 1\n0 -1 1\n": 4,  # negative index
+    "p 3\nn 2\n# entries\n\n0 0 1\n1 1 x  # bad value\n": 6,
+}
+
+
+@pytest.mark.parametrize("bad", list(MALFORMED_MATRIX_FILES))
 def test_matrix_parse_rejects_malformed_files(bad):
-    with pytest.raises(MatrixFormatError):
+    lineno = MALFORMED_MATRIX_FILES[bad]
+    with pytest.raises(MatrixFormatError) as exc:
         parse_matrix(bad)
+    assert exc.value.lineno == lineno
+    assert str(exc.value).startswith(f"line {lineno}: ")
+
+
+def test_matrix_parse_reduces_values_like_the_constructor():
+    rng = random.Random(73)
+    for _ in range(20):
+        p = rng.choice((2, 3, 5, 257))
+        n = rng.randrange(1, 12)
+        entries = {
+            (rng.randrange(n), rng.randrange(n)): rng.randrange(-3 * p, 3 * p)
+            for _ in range(rng.randrange(3 * n))
+        }
+        text = f"p {p}\nn {n}\n" + "".join(f"{i} {j} {v}\n" for (i, j), v in entries.items())
+        parsed = parse_matrix(text)
+        assert parsed == SparseFieldMatrix(p, n, entries)
+        assert 0 not in parsed.entries.values()
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .coloring import (
     validate_p_centered,
 )
 from .elimination import (
-    EliminationConfig,
     UnsupportedFragmentError,
+    eliminate,
     eliminate_all,
     eval_pipeline,
 )
@@ -37,7 +37,7 @@ from .forest_codec import (
     serialize_forest,
 )
 from .forest_eval import eval_forest
-from .logic import count_naive, eval_naive, free_vars, parse_formula
+from .logic import eval_naive, free_vars, parse_formula
 from .matrix import (
     MatrixFormatError,
     build_marking,
@@ -144,10 +144,6 @@ def _require_assigned(phi, assignment: Dict[str, int]) -> None:
         )
 
 
-def _config(args) -> EliminationConfig:
-    return EliminationConfig(coloring_backend=args.backend)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -159,26 +155,15 @@ def _cmd_mc(args, timings: _Timings) -> int:
         phi = parse_formula(args.formula, m.signature)
         assignment = _parse_assignment(args.assign)
     _require_assigned(phi, assignment)
-    fallback = False
     with timings.time("solve"):
-        try:
-            run = eliminate_all(m, phi, _config(args))
-        except UnsupportedFragmentError:
-            fallback = True
-            result = eval_naive(m, phi, assignment)
-            pieces = 0
-            marks = 0
-        else:
-            result = run.eval(assignment)
-            pieces = sum(len(stage.pieces_materialized()) for stage in run.stages)
-            marks = len(run.m_star.signature.unary_relations) - len(
-                m.signature.unary_relations
-            )
+        run = eliminate(m, phi)
+        result = run.eval(assignment)
     payload = {
         "result": result,
-        "pieces": pieces,
-        "expansion_marks": marks,
-        "fallback": fallback,
+        "pieces": sum(len(stage.pieces_materialized()) for stage in run.stages),
+        "expansion_marks": len(run.m_star.signature.unary_relations)
+        - len(m.signature.unary_relations),
+        "fallback": bool(run.left),
     }
     _emit(payload, args.format, "true" if result else "false")
     return 0
@@ -188,21 +173,10 @@ def _cmd_count(args, timings: _Timings) -> int:
     with timings.time("parse"):
         m = parse_graph(_read(args.graph))
         phi = parse_formula(args.formula, m.signature)
-    fv = free_vars(phi)
-    if len(fv) != 1:
-        raise ValueError(
-            f"counting needs exactly one free variable, got {list(fv) or 'none'}"
-        )
-    fallback = False
     with timings.time("solve"):
-        try:
-            run = eliminate_all(m, phi, _config(args))
-        except UnsupportedFragmentError:
-            fallback = True
-            total = count_naive(m, phi)
-        else:
-            total = sum(1 for v in m.domain if run.eval({fv[0]: v}))
-    payload = {"count": total, "fallback": fallback, "variable": fv[0]}
+        run = eliminate(m, phi)
+        total = run.count()
+    payload = {"count": total, "fallback": bool(run.left), "variable": free_vars(phi)[0]}
     _emit(payload, args.format, str(total))
     return 0
 
@@ -212,7 +186,7 @@ def _cmd_eliminate(args, timings: _Timings) -> int:
         m = parse_graph(_read(args.graph))
         phi = parse_formula(args.formula, m.signature)
     with timings.time("eliminate"):
-        run = eliminate_all(m, phi, _config(args))
+        run = eliminate_all(m, phi)
     base_marks = set(m.signature.unary_relations)
     payload = json.loads(run.serialize())
     payload["expansion_marks"] = {
@@ -586,30 +560,23 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "plain"), default="json", help="output format"
     )
-    backend = argparse.ArgumentParser(add_help=False)
-    backend.add_argument(
-        "--backend",
-        choices=("exact", "heuristic"),
-        default="heuristic",
-        help="coloring backend for elimination-forest construction",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mc = sub.add_parser("mc", parents=[common, backend], help="evaluate a formula at an assignment")
+    mc = sub.add_parser("mc", parents=[common], help="evaluate a formula at an assignment")
     mc.add_argument("-g", "--graph", required=True, help="graph file")
     mc.add_argument("-f", "--formula", required=True, help="formula text")
     mc.add_argument("--assign", help="comma-separated var=vertex pairs")
     mc.set_defaults(func=_cmd_mc)
 
     count = sub.add_parser(
-        "count", parents=[common, backend], help="count vertices satisfying a one-variable formula"
+        "count", parents=[common], help="count vertices satisfying a one-variable formula"
     )
     count.add_argument("-g", "--graph", required=True)
     count.add_argument("-f", "--formula", required=True)
     count.set_defaults(func=_cmd_count)
 
     elim = sub.add_parser(
-        "eliminate", parents=[common, backend], help="eliminate modulo quantifiers, emit the expansion"
+        "eliminate", parents=[common], help="eliminate modulo quantifiers, emit the expansion"
     )
     elim.add_argument("-g", "--graph", required=True)
     elim.add_argument("-f", "--formula", required=True)
@@ -617,7 +584,13 @@ def _build_parser() -> argparse.ArgumentParser:
     elim.set_defaults(func=_cmd_eliminate)
 
     color = sub.add_parser(
-        "color", parents=[common, backend], help="compute and validate a p-centered coloring"
+        "color", parents=[common], help="compute and validate a p-centered coloring"
+    )
+    color.add_argument(
+        "--backend",
+        choices=("exact", "heuristic"),
+        default="heuristic",
+        help="coloring backend (exact: small graphs only)",
     )
     color.add_argument("-g", "--graph", required=True)
     color.add_argument("-p", type=int, required=True, help="centeredness parameter")

@@ -280,10 +280,17 @@ class _TreedepthEngine:
         raise AssertionError("tree-depth recursion lost its witness")
 
 
-def treedepth_exact(g: Graph, size_cap: int = 20) -> int:
+EXACT_SIZE_CAP = 20  # vertices: the exact search is exponential
+
+
+def _require_exact_size(g: Graph) -> None:
+    if len(g) > EXACT_SIZE_CAP:
+        raise ValueError(f"graph has {len(g)} vertices, exact tree-depth capped at {EXACT_SIZE_CAP}")
+
+
+def treedepth_exact(g: Graph) -> int:
     """Exact tree-depth by branch and bound; refuses graphs above the cap."""
-    if len(g) > size_cap:
-        raise ValueError(f"graph has {len(g)} vertices, exact tree-depth capped at {size_cap}")
+    _require_exact_size(g)
     if len(g) == 0:
         return 0
     return _TreedepthEngine(g).treedepth(frozenset(g.vertices))
@@ -309,7 +316,8 @@ def _peel_forest(g: Graph, choose: Callable[[_TreedepthEngine, FrozenSet[int]], 
 
 
 def optimal_elimination_forest(g: Graph) -> EliminationForest:
-    """Minimum-height elimination forest (exponential; small graphs only)."""
+    """Minimum-height elimination forest; refuses graphs above the cap."""
+    _require_exact_size(g)
     return _peel_forest(g, _TreedepthEngine._min_height_root)
 
 
@@ -419,7 +427,8 @@ def _greedy_distance_coloring(g: Graph, radius: int) -> CenteredColoring:
 def compute_p_centered(g: Graph, p: int, backend: str = "heuristic") -> CenteredColoring:
     """A valid p-centered coloring; no promise on the number of colors.
 
-    exact backend: depth levels of a minimum-height elimination forest.
+    exact backend: depth levels of a minimum-height elimination forest
+    (graphs of at most ``EXACT_SIZE_CAP`` vertices).
     heuristic backend: greedy distance colorings of radius 2 and then 3,
     each kept if the validator accepts it, tried only while the radius is
     below p - 1; otherwise the distance coloring of radius max(2, p - 1),

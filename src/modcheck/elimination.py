@@ -32,9 +32,12 @@ moves:
 
 Nesting is handled innermost-first; an inner eliminated quantifier with at
 most one free variable is materialized as a fresh unary mark, which keeps the
-next matrix quantifier-free.  Plain exists/forall layers are not eliminated;
-the evaluation entry points route them to the naive evaluator over the
-rewritten core.
+next matrix quantifier-free.  Every entry point runs the same rewrite.
+Layers outside the fragment (plain exists/forall, and modulo quantifiers
+whose matrices stay quantified) are not eliminated: ``eliminate`` keeps them
+in the rewritten formula, where the naive evaluator reads them over the
+expansion, and lists them in ``PipelineResult.left``; ``eliminate_all``
+raises the first of them.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .logic import (
     Term,
     and_all,
     collect_term_tuples,
-    count_naive,
     eval_naive,
     free_vars,
     walk,
@@ -84,7 +86,7 @@ _PLAIN_NODES = (And, Or, Not, BoolConst, EdgeAtom, EqAtom, MarkAtom)
 
 
 class UnsupportedFragmentError(ValueError):
-    """Raised when a formula leaves the supported modulo-prenex fragment."""
+    """A layer outside the supported modulo-prenex fragment; ``node`` is it."""
 
     def __init__(self, message: str, node: Optional[Formula] = None):
         super().__init__(message)
@@ -165,12 +167,6 @@ class Piece:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EliminationConfig:
-    coloring_backend: str = "heuristic"
-    mark_prefix: str = "Q"
-
-
 class ZetaFormula(Formula):
     """Residual formula of one elimination: a structure-relative residue test.
 
@@ -206,7 +202,6 @@ class EliminationResult:
     classes share one base: restriction, forest, encoding and census tables.
     """
 
-    m: GuidedStructure
     m_star: GuidedStructure
     a: int
     b: int
@@ -375,16 +370,16 @@ def eliminate_one(
     b: int,
     rho: Formula,
     yvar: str,
-    config: Optional[EliminationConfig] = None,
+    prefix: str = "Q",
 ) -> EliminationResult:
     """Eliminate ``Emod[a,b] yvar . rho`` over a guided structure.
 
     ``rho`` must be quantifier-free over the structure's signature.  The
     result's ``eval`` agrees with the naive verdict at every argument tuple;
     its ``zeta`` is a quantifier-free structure-relative node usable inside
-    larger formulas.
+    larger formulas.  New mark names start with ``prefix``, extended with a
+    number if an existing relation already starts with it.
     """
-    config = config or EliminationConfig()
     if b < 1:
         raise ValueError("modulus must be at least 1")
     a %= b
@@ -404,7 +399,7 @@ def eliminate_one(
 
     k = len(xvars)
     p = (k + 1) * len(compositions)
-    coloring = compute_p_centered(gaifman(m), p + 1, backend=config.coloring_backend)
+    coloring = compute_p_centered(gaifman(m), p + 1)
 
     classes: Dict[int, List[int]] = {}
     for v in m.domain:
@@ -417,7 +412,7 @@ def eliminate_one(
     type_index = {t: i for i, t in enumerate(type_list)}
     type_of = {v: type_index[t] for v, t in vertex_type.items()}
 
-    prefix = _fresh_prefix(m.signature, config.mark_prefix)
+    prefix = _fresh_prefix(m.signature, prefix)
     new_marks: Dict[str, Iterable[int]] = {
         f"{prefix}c{c}": vs for c, vs in classes.items()
     }
@@ -426,7 +421,6 @@ def eliminate_one(
     m_star = expand_monadic(m, new_marks)
 
     result = EliminationResult(
-        m=m,
         m_star=m_star,
         a=a,
         b=b,
@@ -465,22 +459,35 @@ class StageReport:
 @dataclass
 class RunReport:
     stages: List[StageReport] = field(default_factory=list)
-    notices: List[str] = field(default_factory=list)
 
 
 @dataclass
 class PipelineResult:
-    """Cumulative expansion and rewritten formula after nested eliminations."""
+    """Cumulative expansion and rewritten formula after nested eliminations.
 
-    m: GuidedStructure
+    ``left`` holds one ``UnsupportedFragmentError`` per layer outside the
+    fragment, in the order the rewrite met them; each layer stays in ``zeta``
+    and is read by the naive evaluator.
+    """
+
     m_star: GuidedStructure
     phi: Formula
     zeta: Formula
     stages: Tuple[EliminationResult, ...]
     report: RunReport
+    left: Tuple[UnsupportedFragmentError, ...]
 
     def eval(self, valuation: Optional[Dict[str, int]] = None) -> bool:
         return eval_naive(self.m_star, self.zeta, valuation)
+
+    def count(self) -> int:
+        """Number of vertices satisfying a formula with one free variable."""
+        fv = free_vars(self.phi)
+        if len(fv) != 1:
+            raise ValueError(
+                f"counting needs exactly one free variable, got {list(fv) or 'none'}"
+            )
+        return sum(1 for v in self.m_star.domain if self.eval({fv[0]: v}))
 
     def serialize(self) -> str:
         payload = {
@@ -489,7 +496,7 @@ class PipelineResult:
             "output": repr(self.zeta),
             "marks": sorted(self.m_star.signature.unary_relations),
             "stages": [json.loads(s.serialize()) for s in self.stages],
-            "notices": list(self.report.notices),
+            "notices": [str(e) for e in self.left],
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -497,20 +504,19 @@ class PipelineResult:
 class _Rewriter:
     """Innermost-first elimination of modulo quantifiers.
 
-    ``strict`` demands the modulo-prenex fragment (Boolean combinations and
-    modulo quantifiers whose matrices are quantifier-free after inner
-    eliminations) and raises on anything else; the lenient mode leaves
-    offending layers in place for the naive evaluator and logs a notice.
+    The fragment: Boolean combinations and modulo quantifiers whose matrices
+    are quantifier-free after inner eliminations.  A layer outside it stays
+    in place, rewritten inside, and is recorded in ``left``: a plain
+    quantifier before its body is rewritten, a modulo quantifier after.
     The state lives on the instance, not in a recursive closure, so a
     finished run is freed without the cycle collector.
     """
 
-    def __init__(self, m: GuidedStructure, config: EliminationConfig, strict: bool):
+    def __init__(self, m: GuidedStructure):
         self.working = m
-        self.config = config
-        self.strict = strict
         self.stages: List[EliminationResult] = []
         self.report = RunReport()
+        self.left: List[UnsupportedFragmentError] = []
 
     def rec(self, node: Formula) -> Formula:
         if isinstance(node, (EdgeAtom, EqAtom, MarkAtom, BoolConst)):
@@ -523,38 +529,24 @@ class _Rewriter:
             return Or(self.rec(node.left), self.rec(node.right))
         if isinstance(node, (Exists, Forall)):
             kind = "exists" if isinstance(node, Exists) else "forall"
-            if self.strict:
-                raise UnsupportedFragmentError(
-                    f"plain {kind} quantifier on {node.var!r} is outside the "
-                    "modulo-prenex fragment",
-                    node,
-                )
-            self.report.notices.append(
-                f"plain {kind} quantifier on {node.var!r} left to the naive evaluator"
-            )
-            body = self.rec(node.body)
-            return type(node)(node.var, body)
+            self.left.append(UnsupportedFragmentError(
+                f"plain {kind} quantifier on {node.var!r} is outside the "
+                "modulo-prenex fragment",
+                node,
+            ))
+            return type(node)(node.var, self.rec(node.body))
         if isinstance(node, ModExists):
             body = self.rec(node.body)
             if not _plain_quantifier_free(body):
-                if self.strict:
-                    raise UnsupportedFragmentError(
-                        f"matrix of the modulo quantifier on {node.var!r} is not "
-                        "quantifier-free after inner eliminations",
-                        node,
-                    )
-                self.report.notices.append(
-                    f"modulo quantifier on {node.var!r} left to the naive "
-                    "evaluator (matrix not quantifier-free after inner eliminations)"
-                )
+                self.left.append(UnsupportedFragmentError(
+                    f"matrix of the modulo quantifier on {node.var!r} is not "
+                    "quantifier-free after inner eliminations",
+                    node,
+                ))
                 return ModExists(node.residue, node.modulus, node.var, body)
             stage = len(self.stages)
-            stage_config = EliminationConfig(
-                coloring_backend=self.config.coloring_backend,
-                mark_prefix=f"{self.config.mark_prefix}{stage}_",
-            )
             res = eliminate_one(
-                self.working, node.residue, node.modulus, body, node.var, stage_config
+                self.working, node.residue, node.modulus, body, node.var, f"Q{stage}_"
             )
             self.stages.append(res)
             self.working = res.m_star
@@ -588,38 +580,35 @@ class _Rewriter:
         )
 
 
-def _rewrite(
-    m: GuidedStructure,
-    phi: Formula,
-    config: EliminationConfig,
-    strict: bool,
-) -> PipelineResult:
-    """Run a ``_Rewriter`` on ``phi`` and collect its result."""
-    rw = _Rewriter(m, config, strict)
+def eliminate(m: GuidedStructure, phi: Formula) -> PipelineResult:
+    """Eliminate every modulo quantifier the fragment reaches.
+
+    Layers outside the fragment stay in the rewritten formula for the naive
+    evaluator; each is logged at INFO and listed in ``left``.  A node that is
+    not a formula raises ``UnsupportedFragmentError``.  A quantifier-free
+    input is returned unchanged.
+    """
+    rw = _Rewriter(m)
     zeta = rw.rec(phi)
+    for exc in rw.left:
+        logger.info("%s; left to the naive evaluator", exc)
     return PipelineResult(
-        m=m,
         m_star=rw.working,
         phi=phi,
         zeta=zeta,
         stages=tuple(rw.stages),
         report=rw.report,
+        left=tuple(rw.left),
     )
 
 
-def eliminate_all(
-    m: GuidedStructure,
-    phi: Formula,
-    config: Optional[EliminationConfig] = None,
-) -> PipelineResult:
-    """Eliminate every modulo quantifier of a modulo-prenex formula.
-
-    The fragment: Boolean combinations and modulo quantifiers whose matrices
-    are quantifier-free once inner eliminations have been materialized.
-    Anything else raises ``UnsupportedFragmentError`` naming the offending
-    node.  A quantifier-free input is returned unchanged.
-    """
-    return _rewrite(m, phi, config or EliminationConfig(), strict=True)
+def eliminate_all(m: GuidedStructure, phi: Formula) -> PipelineResult:
+    """``eliminate`` on a modulo-prenex formula: a layer outside the fragment
+    raises, the first one met, as ``UnsupportedFragmentError`` naming it."""
+    run = eliminate(m, phi)
+    if run.left:
+        raise run.left[0]
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -631,39 +620,12 @@ def eval_pipeline(
     m: GuidedStructure,
     phi: Formula,
     valuation: Optional[Dict[str, int]] = None,
-    config: Optional[EliminationConfig] = None,
 ) -> bool:
-    """Truth value of any supported formula, fast paths engaged where possible.
-
-    Modulo quantifiers with quantifier-free matrices are eliminated; plain
-    exists/forall layers (and modulo quantifiers over non-quantifier-free
-    matrices) are evaluated naively over the rewritten core.
-    """
-    run = _rewrite(m, phi, config or EliminationConfig(), strict=False)
-    for notice in run.report.notices:
-        logger.info("eval_pipeline: %s", notice)
-    return eval_naive(run.m_star, run.zeta, valuation)
+    """Truth value of any supported formula: ``eliminate``, then evaluate."""
+    return eliminate(m, phi).eval(valuation)
 
 
-def count_definable(
-    m: GuidedStructure,
-    phi: Formula,
-    config: Optional[EliminationConfig] = None,
-) -> int:
-    """Number of vertices satisfying a one-free-variable formula.
-
-    Fast path: a modulo-prenex formula is eliminated once and its residual
-    formula evaluated per vertex.  Anything else falls back to the naive
-    counter with a logged notice.
-    """
-    fv = free_vars(phi)
-    if len(fv) == 1:
-        try:
-            run = eliminate_all(m, phi, config)
-        except UnsupportedFragmentError as exc:
-            logger.info(
-                "count_definable: falling back to the naive counter (%s)", exc
-            )
-        else:
-            return sum(1 for v in m.domain if run.eval({fv[0]: v}))
-    return count_naive(m, phi)
+def count_definable(m: GuidedStructure, phi: Formula) -> int:
+    """Number of vertices satisfying a one-free-variable formula:
+    ``eliminate`` once, then evaluate the rewritten formula per vertex."""
+    return eliminate(m, phi).count()

@@ -468,19 +468,22 @@ def parse_forest(text: str) -> ColoredForest:
             raise GraphFormatError(1, f"vertex {c} is both root and child")
         parent[c] = p
     level: Dict[int, int] = {}
-
-    def depth(v: int, trail: Tuple[int, ...] = ()) -> int:
-        if v in level:
-            return level[v]
-        if v in trail:
-            raise GraphFormatError(1, f"parent cycle through vertex {v}")
-        if v not in parent:
-            raise GraphFormatError(1, f"vertex {v} has no 'r' or 'p' line")
-        level[v] = 1 if parent[v] == v else depth(parent[v], trail + (v,)) + 1
-        return level[v]
-
     for v in sorted(parent):
-        depth(v)
+        # walk up to a vertex with a known level, then fill levels back down
+        trail: Dict[int, None] = {}  # an ordered set
+        u = v
+        while u not in level:
+            if u in trail:
+                raise GraphFormatError(1, f"parent cycle through vertex {u}")
+            if u not in parent:
+                raise GraphFormatError(1, f"vertex {u} has no 'r' or 'p' line")
+            if parent[u] == u:
+                level[u] = 1
+                break
+            trail[u] = None
+            u = parent[u]
+        for d, w in enumerate(reversed(trail), level[u] + 1):
+            level[w] = d
     forest = EliminationForest(parent, level)
 
     try:

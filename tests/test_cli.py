@@ -10,11 +10,16 @@ import pytest
 
 from modcheck.cli import main
 from modcheck.forest_codec import forest_signature, forest_structure, serialize_forest
-from modcheck.logic import ModExists, eval_naive, format_formula, walk
+from modcheck.logic import ModExists, count_naive, eval_naive, format_formula, parse_formula, walk
 from modcheck.matrix import parse_matrix
-from modcheck.structures import parse_graph
+from modcheck.structures import parse_graph, serialize_graph
 
-from gens import random_colored_forest, random_formula, random_quantifier_free
+from gens import (
+    random_colored_forest,
+    random_formula,
+    random_guided_structure,
+    random_quantifier_free,
+)
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +150,29 @@ def test_mc_plain_quantifiers_fall_back_to_the_naive_evaluator(capsys, c4):
     }
 
 
+def test_mc_and_count_eliminate_inside_plain_quantifiers(capsys, tmp_path):
+    # the inner modulo quantifier becomes a mark (one stage, its pieces and
+    # marks counted); the plain one around it goes to the naive evaluator
+    rng = random.Random(131)
+    text = "E z . (adj(x, z) & Emod[0,2] y . (adj(z, y) & P0(y)))"
+    for trial in range(4):
+        m = random_guided_structure(rng, 7 + trial, family=("maxdeg", "planar")[trial % 2])
+        path = tmp_path / f"m{trial}.txt"
+        path.write_text(serialize_graph(m))
+        phi = parse_formula(text, m.signature)
+        for v in m.domain:
+            code, payload, _ = run_json(capsys, "mc", "-g", str(path), "-f", text, "--assign", f"x={v}")
+            assert code == 0
+            jsonschema.validate(payload, MC_SCHEMA)
+            assert payload["result"] == eval_naive(m, phi, {"x": v})
+            assert payload["fallback"] is True
+            assert payload["pieces"] >= 1
+            assert payload["expansion_marks"] >= 1
+        code, payload, _ = run_json(capsys, "count", "-g", str(path), "-f", text)
+        assert code == 0
+        assert payload == {"count": count_naive(m, phi), "fallback": True, "variable": "x"}
+
+
 def test_mc_is_byte_identical_across_reruns(capsys, c4):
     args = ("mc", "-g", c4, "-f", "Emod[0,2] y. adj(x,y)", "--assign", "x=1")
     _, first, _ = run_cli(capsys, *args)
@@ -266,6 +294,20 @@ def test_color_validates_on_the_four_cycle_with_both_backends(capsys, c4):
         assert code == 0
         assert payload["valid"] is True
         assert payload["p"] == 3
+
+
+def test_exact_backends_refuse_graphs_above_the_cap(capsys, tmp_path):
+    path = tmp_path / "c21.txt"
+    path.write_text("n 21\n" + "".join(f"e {i} {(i + 1) % 21}\n" for i in range(21)))
+    for argv in (
+        ("color", "-g", str(path), "-p", "3", "--backend", "exact"),
+        ("forest", "encode", "-g", str(path), "--exact"),
+        ("forest", "roundtrip", "-g", str(path), "--exact"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "capped at 20" in err
 
 
 def test_color_plain_format_lists_assignments_then_the_report(capsys, k1):
@@ -506,6 +548,11 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["selftest", "--backend", "exact"])  # no coloring to choose
     assert info.value.code == 2
+    # the pipeline's coloring is internal: only `color` chooses a backend
+    for command in ("mc", "count", "eliminate"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "-g", "x.txt", "-f", "x = x", "--backend", "exact"])
+        assert info.value.code == 2, command
 
 
 def test_module_entrypoint_runs_as_a_subprocess(c4):

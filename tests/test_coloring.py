@@ -136,8 +136,17 @@ def test_treedepth_disconnected_and_empty():
 
 
 def test_treedepth_size_cap():
-    with pytest.raises(ValueError, match="capped"):
-        treedepth_exact(path_graph(40))
+    # every exact search shares one cap: 20 vertices pass, 21 are refused
+    assert optimal_elimination_forest(path_graph(20)).height == treedepth_exact(path_graph(20))
+    for exact in (
+        treedepth_exact,
+        optimal_elimination_forest,
+        lambda g: compute_p_centered(g, 3, backend="exact"),
+    ):
+        with pytest.raises(ValueError, match="capped at 20"):
+            exact(path_graph(21))
+        with pytest.raises(ValueError, match="capped"):
+            exact(path_graph(40))
 
 
 def test_optimal_forest_achieves_treedepth():

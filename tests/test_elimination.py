@@ -16,6 +16,7 @@ from modcheck.elimination import (
     ZetaFormula,
     color_type_of,
     count_definable,
+    eliminate,
     eliminate_all,
     eliminate_one,
     eval_pipeline,
@@ -677,10 +678,17 @@ def test_eliminate_all_rejects_plain_quantifiers():
     with pytest.raises(UnsupportedFragmentError) as exc:
         eliminate_all(m, phi)
     assert "z" in str(exc.value)
+    assert exc.value.node is phi.body
     phi = parse_formula("A x . Emod[0,2] y . adj(x, y)", m.signature)
     with pytest.raises(UnsupportedFragmentError) as exc:
         eliminate_all(m, phi)
     assert "forall" in str(exc.value)
+    assert exc.value.node is phi
+    # a plain quantifier is met before its body, a modulo one after
+    phi = parse_formula("Emod[0,2] y . E z . Emod[1,2] w . (adj(z, w) & adj(y, w))", m.signature)
+    with pytest.raises(UnsupportedFragmentError) as exc:
+        eliminate_all(m, phi)
+    assert exc.value.node is phi.body
 
 
 def test_eliminate_all_rejects_wide_inner_eliminations():
@@ -693,6 +701,7 @@ def test_eliminate_all_rejects_wide_inner_eliminations():
     with pytest.raises(UnsupportedFragmentError) as exc:
         eliminate_all(m, phi)
     assert "quantifier-free" in str(exc.value)
+    assert exc.value.node is phi
 
 
 def test_eliminate_all_rejects_foreign_nodes():
@@ -700,8 +709,32 @@ def test_eliminate_all_rejects_foreign_nodes():
         pass
 
     m = cycle_graph(4)
-    with pytest.raises(UnsupportedFragmentError):
-        eliminate_all(m, Strange())
+    node = Strange()
+    with pytest.raises(UnsupportedFragmentError) as exc:
+        eliminate_all(m, node)
+    assert exc.value.node is node
+    with pytest.raises(UnsupportedFragmentError) as exc:
+        eliminate(m, node)
+    assert exc.value.node is node
+
+
+def test_eliminate_leaves_what_eliminate_all_rejects():
+    # the same layers, in the same order; the rewrite goes on inside them
+    m = cycle_graph(5)
+    phi = parse_formula(
+        "A x . ((Emod[0,2] y . E z . adj(y, z))"
+        " | (Emod[1,2] y . Emod[0,2] z . (adj(x, z) & adj(y, z))))",
+        m.signature,
+    )
+    run = eliminate(m, phi)
+    left, right = phi.body.left, phi.body.right
+    assert [e.node for e in run.left] == [phi, left.body, left, right]
+    with pytest.raises(UnsupportedFragmentError) as exc:
+        eliminate_all(m, phi)
+    assert exc.value.node is phi
+    assert [str(e) for e in run.left] == json.loads(run.serialize())["notices"]
+    assert len(run.stages) == 1  # the wide inner quantifier
+    assert run.eval() == eval_naive(m, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +822,26 @@ def test_count_definable_falls_back_and_logs(caplog):
     with caplog.at_level(logging.INFO, logger="modcheck.elimination"):
         got = count_definable(m, phi)
     assert got == count_naive(m, phi)
-    assert any("naive counter" in r.message for r in caplog.records)
+    assert any("plain exists quantifier on 'z'" in r.message for r in caplog.records)
+
+
+def test_count_definable_eliminates_inside_plain_quantifiers():
+    # the inner modulo quantifier is eliminated to a mark, and the plain one
+    # around it is left to the naive evaluator over the expansion
+    rng = random.Random(127)
+    phi_text = "E z . (adj(x, z) & Emod[0,2] y . (adj(z, y) & P0(y)))"
+    for trial in range(12):
+        m = random_guided_structure(
+            rng, 6 + trial % 5, family=("maxdeg", "planar", "forest")[trial % 3], n_funcs=1
+        )
+        phi = parse_formula(phi_text, m.signature)
+        run = eliminate(m, phi)
+        assert len(run.stages) == 1
+        assert [e.node for e in run.left] == [phi]
+        assert run.report.stages[0].materialized_mark is not None
+        assert count_definable(m, phi) == count_naive(m, phi)
+        for v in m.domain:
+            assert run.eval({"x": v}) == eval_naive(m, phi, {"x": v})
 
 
 def test_count_definable_requires_one_free_variable():

@@ -204,9 +204,25 @@ def test_derived_structures_are_what_the_constructor_builds():
 # ---------------------------------------------------------------------------
 
 
+def chain_forest_text(levels: int, rising: bool) -> str:
+    """A forest file of one path: ids rise from the root, or fall to it."""
+    if rising:
+        return "r 0\n" + "".join(f"p {v + 1} {v}\n" for v in range(levels - 1))
+    return f"r {levels - 1}\n" + "".join(f"p {v} {v + 1}\n" for v in range(levels - 1))
+
+
+def test_parse_forest_reads_deep_chains_in_either_id_order():
+    for rising in (True, False):
+        y = parse_forest(chain_forest_text(1500, rising))
+        assert y.height == 1500
+        assert y.forest.level[0] == (1 if rising else 1500)
+
+
 def test_parsers_scale_linearly():
     """Trace events of the graph and matrix readers on degree-<=4 inputs at
-    n and 4n: a reader that does work beyond a constant per line fails."""
+    n and 4n, and of the forest reader on one path of n and 4n levels whose
+    ids fall to the root: a reader that does work beyond a constant per line
+    fails."""
     texts = {}
     for n in (250, 1000):
         rng = random.Random(n)
@@ -214,6 +230,8 @@ def test_parsers_scale_linearly():
         entries = {(u, v): u + v for u, v in m.edges}
         entries.update({(v, u): u * v for u, v in m.edges})
         texts[n] = (serialize_graph(m), format_matrix(SparseFieldMatrix(7, n, entries)))
-    for k, parse in enumerate((parse_graph, parse_matrix)):
-        small, large = (trace_events(parse, texts[n][k]) for n in (250, 1000))
+    cases = [(parse, texts[250][k], texts[1000][k]) for k, parse in enumerate((parse_graph, parse_matrix))]
+    cases.append((parse_forest, chain_forest_text(500, False), chain_forest_text(2000, False)))
+    for parse, small_text, large_text in cases:
+        small, large = trace_events(parse, small_text), trace_events(parse, large_text)
         assert large <= 4.5 * small, (parse.__name__, small, large)

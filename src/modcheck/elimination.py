@@ -17,9 +17,12 @@ moves:
     height.
 
 3.  **Forest counters.**  Encode each piece as a colored forest and attach
-    a residue counter that tests the type-guarded body on the piece itself.
-    Pieces over the same color classes share one encoded forest and its
-    census tables.
+    a residue counter for the type-guarded body.  The type marks of the
+    arguments and the witness are the counter's guards, settled from the
+    forest's exact subtree codes, so the census examines only witnesses of
+    the piece's own type; each of those it accepts by evaluating the body on
+    the piece itself.  Pieces over the same color classes share one encoded
+    forest and its census tables.
     Because the types of the arguments and the witness pin every function
     chain of the body inside the piece, the piece-local witness count equals
     the global count of witnesses of that type — the clamped functions of the
@@ -146,11 +149,12 @@ class Piece:
     """One restriction of the expanded structure, with its forest counter.
 
     ``forest`` is the piece's encoded elimination forest, shared with every
-    piece over the same color classes.  ``sigma`` is the type-guarded body:
-    the type marks of the key on every variable, conjoined with the
-    quantified body, over the piece's own vocabulary.  ``counter`` counts its
-    witnesses on ``forest`` and accepts a witness class by evaluating
-    ``sigma`` on the piece itself.
+    piece over the same color classes.  ``sigma`` is the type-guarded body
+    the counter decides: the type marks of the key on every variable (the
+    guards), conjoined with the quantified body, over the piece's own
+    vocabulary.  ``counter`` counts its witnesses on ``forest``: it settles
+    the guards from the forest's exact codes and accepts a witness class by
+    evaluating the body on the piece itself.
     """
 
     key: Tuple[Tuple[int, ...], int]
@@ -253,21 +257,28 @@ class EliminationResult:
             base = (piece_struct, encoded, ForestTables(encoded))
             self._bases[tuple(used)] = base
         piece_struct, encoded, tables = base
+        guards = dict(zip(self.xvars, map(self.type_mark, key[0])))
+        guards[self.yvar] = self.type_mark(key[1])
         sigma = and_all(
-            [
-                MarkAtom(self.type_mark(i), Term(x))
-                for i, x in zip(key[0], self.xvars)
-            ]
-            + [MarkAtom(self.type_mark(key[1]), Term(self.yvar)), self.rho]
+            [MarkAtom(mark, Term(var)) for var, mark in guards.items()] + [self.rho]
         )
-        # Acceptance evaluates the quantifier-free guard on the piece itself:
-        # extensionally equal to evaluating its pullback on the forest (the
-        # encoding is faithful), and free of the pullback's term-flattening
-        # quantifiers, so each acceptance call is a few atom reads.  It is
-        # invariant under the forest's automorphisms, as the counter's
-        # residue memo requires, because the piece decodes from the forest.
+        # The counter settles the type guards from the forest's exact codes,
+        # which record every vertex's marks; acceptance evaluates only the
+        # quantifier-free body, on the piece itself: extensionally equal to
+        # evaluating its pullback on the forest (the encoding is faithful),
+        # and free of the pullback's term-flattening quantifiers, so each
+        # acceptance call is a few atom reads.  It is invariant under the
+        # forest's automorphisms, as the counter's residue memo requires,
+        # because the piece decodes from the forest.  The callback holds
+        # rho, not self, so a finished result forms no reference cycle.
+        rho = self.rho
         counter = ModForestCounter(
-            tables, self.b, self.xvars, self.yvar, lambda nu: eval_naive(piece_struct, sigma, nu)
+            tables,
+            self.b,
+            self.xvars,
+            self.yvar,
+            lambda nu: eval_naive(piece_struct, rho, nu),
+            guards,
         )
         name = "{}p{}w{}".format(
             self.prefix, "_".join(map(str, key[0])), key[1]

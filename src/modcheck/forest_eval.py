@@ -21,6 +21,12 @@ Three layers:
   b.  Elimination turns the census into a quantifier-free formula over
   parent compositions and residue marks.
 
+A counter may carry guards: marks its variables must have.  An exact code
+records its vertex's marks, so guards are settled from codes, not by
+acceptance: the census examines only the witness classes whose last code
+carries the witness's mark, and a tuple whose argument codes lack theirs
+counts 0 without a census.
+
 A closure is described without building it: ``typed_shape_key`` records the
 exact subtree codes along each entry's root path and, per pair of entries,
 how many levels their root paths share.  Tuples with equal keys are
@@ -109,7 +115,8 @@ class SubtreeTypeTable:
     rooted subtrees are isomorphic.  With a threshold t and modulus B, child
     multiplicities are recorded as (min(count, t), count mod B), which is the
     coarsening used by the pruning evaluator.  ``path[v]`` lists the codes
-    along v's root path, root first.
+    along v's root path, root first, and ``letters[tid]`` is the letter (the
+    marks) of every vertex with code ``tid``.
     """
 
     def __init__(self, y: ColoredForest, threshold: Optional[int] = None, modulus: int = 1, index: Optional[_Index] = None):
@@ -119,6 +126,7 @@ class SubtreeTypeTable:
         self.modulus = modulus
         self.index = index or _Index(y)
         self.code: Dict[int, int] = {}
+        self.letters: List[Tuple[str, ...]] = []
         self._intern: Dict[tuple, int] = {}
         order = sorted(self.index.vertices, key=lambda v: -self.index.forest.level[v])
         for v in order:
@@ -132,6 +140,7 @@ class SubtreeTypeTable:
             if tid is None:
                 tid = len(self._intern)
                 self._intern[key] = tid
+                self.letters.append(key[0])
             self.code[v] = tid
         self.path: Dict[int, Tuple[int, ...]] = {
             v: tuple(map(self.code.__getitem__, p)) for v, p in self.index.path.items()
@@ -284,10 +293,12 @@ def _pi_term(var: str, steps: int) -> Term:
 
 class ForestTables:
     """Formula-independent census tables of one forest ``y``, shareable by
-    counters: exact subtree codes and, for every realized descending
-    code-path, its occurrences below each vertex (``down``, listed per vertex
-    in ``paths_from``) and from the roots (``n_table``, its paths sorted once
-    in ``full_paths``), all read off the vertices' root paths."""
+    counters: exact subtree codes, which record each code's letter, and, for
+    every realized descending code-path, its occurrences below each vertex
+    (``down``, listed per vertex in ``paths_from``) and from the roots
+    (``n_table``, its paths sorted once in ``full_paths`` and grouped by
+    their last code in ``paths_ending``), all read off the vertices' root
+    paths."""
 
     def __init__(self, y: ColoredForest):
         self.y = y
@@ -301,6 +312,9 @@ class ForestTables:
         )
         self.n_table = Counter(code_path.values())
         self.full_paths = sorted(self.n_table)
+        self.paths_ending: Dict[int, List[Tuple[int, ...]]] = {}
+        for q in self.full_paths:
+            self.paths_ending.setdefault(q[-1], []).append(q)
         paths_from: Dict[int, List[Tuple[int, ...]]] = {}
         for (v, q) in self.down:
             paths_from.setdefault(v, []).append(q)
@@ -316,7 +330,11 @@ class ModForestCounter:
 
     The census reads the forest's shared ``ForestTables`` and decides each
     witness class on one representative with ``accept``, a callback on
-    valuations of ``xvars`` and ``yvar``.  The callback must be invariant
+    valuations of ``xvars`` and ``yvar``.  ``guards`` maps variables to
+    marks they must carry, conjoined with the callback: they are settled
+    from exact codes, so only witness classes whose last code carries the
+    witness's mark reach the callback, and an argument tuple whose codes
+    lack its marks has residue 0 with no call.  The callback must be invariant
     under mark-preserving forest automorphisms (any evaluation against a
     structure the forest encodes qualifies, since decoding commutes with
     such automorphisms): tuples with equal ``typed_shape_key`` are
@@ -333,9 +351,16 @@ class ModForestCounter:
         xvars: Tuple[str, ...],
         yvar: str,
         accept: Callable[[Dict[str, int]], bool],
+        guards: Optional[Dict[str, str]] = None,
     ):
         if b < 1:
             raise ValueError("modulus must be positive")
+        guards = guards or {}
+        for var, mark in guards.items():
+            if var != yvar and var not in xvars:
+                raise ValueError(f"guard on {var!r}, which is neither an argument nor the witness")
+            if mark not in tables.y.marks:
+                raise ValueError(f"guard mark {mark!r} is not a mark of the forest")
         self.tables = tables
         self.y = tables.y
         self.index = tables.index
@@ -345,6 +370,18 @@ class ModForestCounter:
         self.yvar = yvar
         self._accept_fn = accept
         self._residues: Dict[tuple, int] = {}
+        self._arg_guards = tuple((i, guards[x]) for i, x in enumerate(xvars) if x in guards)
+        # the codes a witness may have (those of the witness mark's
+        # vertices), and the root code paths ending in them
+        mark = guards.get(yvar)
+        if mark is None:
+            self._witness_codes = frozenset(range(len(self.codes.letters)))
+            self._full_paths = tables.full_paths
+        else:
+            self._witness_codes = frozenset(map(self.codes.code.__getitem__, self.y.marks[mark]))
+            self._full_paths = sorted(
+                q for t in self._witness_codes for q in tables.paths_ending.get(t, ())
+            )
 
     # -- tables -------------------------------------------------------------
 
@@ -404,16 +441,24 @@ class ModForestCounter:
 
     def _residue_at(self, vbar: Tuple[int, ...]) -> Tuple[int, list]:
         """Witness count mod b plus the class terms it was assembled from."""
+        code, letters = self.codes.code, self.codes.letters
+        if any(mark not in letters[code[vbar[i]]] for i, mark in self._arg_guards):
+            return 0, []
+        admitted = self._witness_codes
         closure, pinned, closure_roots = self._closure_data(vbar)
         total = 0
         terms: list = []
         for w in closure:
+            if code[w] not in admitted:
+                continue
             CASE_COUNTER["B"] += 1
             if self._accept(vbar, w):
                 total += 1
                 terms.append(("B", w))
         for s in closure:
             for q in self.tables.paths_from.get(s, ()):
+                if q[-1] not in admitted:
+                    continue
                 cnt = self.down(s, q)
                 for c in pinned[s]:
                     if self.codes.code[c] == q[0]:
@@ -427,7 +472,7 @@ class ModForestCounter:
                     total += cnt
                     terms.append(("C", s, q, cnt))
         croots = set(closure_roots)
-        for qfull in self.tables.full_paths:
+        for qfull in self._full_paths:
             cnt = self.tables.n_table[qfull] - sum(self.root_count(r, qfull) for r in closure_roots)
             if cnt % self.b == 0:
                 continue

@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from modcheck import forest_codec, forest_eval
+from modcheck import elimination, forest_codec, forest_eval
 from modcheck.coloring import optimal_elimination_forest
 from modcheck.elimination import (
     UnsupportedFragmentError,
@@ -518,6 +518,51 @@ def test_pieces_share_forest_tables_per_base_and_build_no_forest_structure(monke
         else:
             assert p1.counter.tables is not p2.counter.tables
     assert shared  # some base serves several (argument types, witness type) keys
+
+
+def test_acceptance_sees_only_the_piece_types(monkeypatch):
+    """A piece settles its type guards from the forest's codes: every
+    acceptance call evaluates the body on a witness and arguments of the
+    piece's own types, tuples of other types count 0 without a call, and
+    each residue equals the guarded body's witness count on the piece."""
+    calls = []
+
+    def counting(structure, phi, nu):
+        calls.append((structure, phi, dict(nu)))
+        return eval_naive(structure, phi, nu)
+
+    # acceptance looks eval_naive up in the elimination module at each call
+    monkeypatch.setattr(elimination, "eval_naive", counting)
+    rng = random.Random(131)
+    rejected = examined = 0
+    for trial in range(12):
+        family = ("maxdeg", "planar", "forest")[trial % 3]
+        m = random_guided_structure(rng, 8 + trial % 4, family=family, n_funcs=1 + trial % 2)
+        pool = (["x", "y"], ["x1", "x2", "y"])[trial % 2]
+        rho = random_quantifier_free(rng, m.signature, pool, depth=2)
+        while set(free_vars(rho)) != set(pool):
+            rho = random_quantifier_free(rng, m.signature, pool, depth=2)
+        b = 2 + trial % 3
+        res = eliminate_one(m, 0, b, rho, "y")
+        keys = list(itertools.product(range(len(res.types)), repeat=len(res.xvars) + 1))
+        for *tbar, t in rng.sample(keys, min(10, len(keys))):
+            piece = res.piece(tbar, t)
+            piece_struct = restrict(res.m_star, piece.domain)
+            for vbar in itertools.product(piece.domain, repeat=len(res.xvars)):
+                nu = dict(zip(res.xvars, vbar))
+                del calls[:]
+                got = piece.counter.residue(nu)
+                assert got == count_witnesses(piece_struct, piece.sigma, "y", nu) % b
+                if tuple(res.type_of[v] for v in vbar) != tuple(tbar):
+                    assert got == 0 and not calls
+                    rejected += 1
+                for structure, phi, call in calls:
+                    assert phi is rho  # the body alone: the guards are settled
+                    assert set(structure.domain) == set(piece.domain)
+                    assert res.type_of[call["y"]] == t
+                    assert tuple(res.type_of[call[x]] for x in res.xvars) == tuple(tbar)
+                examined += len(calls)
+    assert rejected and examined  # both kinds of tuple were probed
 
 
 def test_unrealized_type_index_is_rejected():

@@ -21,10 +21,12 @@ from modcheck.forest_eval import (
 )
 from modcheck.logic import (
     BoolConst,
+    EqAtom,
     Formula,
     MarkAtom,
     ModExists,
     Term,
+    and_all,
     count_witnesses,
     eval_naive,
     free_vars,
@@ -390,6 +392,10 @@ def test_forest_tables_count_code_paths_by_brute_force():
         assert tables.n_table == full
         for v in y.forest.vertices():
             assert tables.paths_from.get(v, []) == sorted(q for (u, q) in down if u == v)
+            assert tables.codes.letters[code[v]] == tables.index.letter[v]
+        for t, qs in tables.paths_ending.items():
+            assert qs == sorted(q for q in full if q[-1] == t)
+        assert sum(map(len, tables.paths_ending.values())) == len(full)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +445,52 @@ def test_counter_memoizes_residues_by_argument_shape():
     for vbar in itertools.product(y.forest.vertices(), repeat=2):
         nu = dict(zip(("v1", "v2"), vbar))
         assert counter.residue(nu) == forest_counter(y, sigma, 3, "w").residue(nu), vbar
+
+
+def test_guards_settled_from_codes_equal_guarded_acceptance():
+    """A counter with guards {v: mark} and body ς counts as forest_counter
+    on marks ∧ ς, at every argument tuple and in every materialization."""
+    rng = random.Random(67)
+    for _ in range(100):
+        y = random_colored_forest(rng, rng.randint(1, 8), height=3)
+        fsig = forest_signature(y.signature, y.forest.height)
+        xvars = ("v1", "v2")[: rng.choice((0, 1, 2))]
+        body = random_quantifier_free(rng, fsig, list(xvars) + ["w"], depth=2, max_funcs=1)
+        guards = {
+            v: rng.choice(y.signature.unary_relations)
+            for v in (*xvars, "w")
+            if rng.random() < 0.7
+        }
+        b = rng.choice((2, 3))
+        fs = forest_structure(y)
+        guarded = ModForestCounter(
+            ForestTables(y), b, xvars, "w", lambda nu: eval_naive(fs, body, nu), guards
+        )
+        # x = x pins forest_counter's arguments to xvars, in order
+        sigma = and_all(
+            [EqAtom(Term(x), Term(x)) for x in xvars]
+            + [MarkAtom(mark, Term(v)) for v, mark in guards.items()]
+            + [body]
+        )
+        plain = forest_counter(y, sigma, b, "w")
+        assert plain.xvars == xvars
+        for vbar in itertools.product(y.forest.vertices(), repeat=len(xvars)):
+            nu = dict(zip(xvars, vbar))
+            assert guarded.residue(nu) == plain.residue(nu), (guards, vbar)
+        for c in range(b):
+            got_forest, got_zeta = guarded.materialize(c)
+            want_forest, want_zeta = plain.materialize(c)
+            assert repr(got_zeta) == repr(want_zeta)
+            assert got_forest.signature == want_forest.signature
+            assert got_forest.marks == want_forest.marks
+
+
+def test_guards_name_the_counter_variables():
+    y = branching_forest()
+    with pytest.raises(ValueError, match="neither an argument nor the witness"):
+        ModForestCounter(ForestTables(y), 2, ("v1",), "w", lambda nu: True, {"v2": "P0"})
+    with pytest.raises(ValueError, match="not a mark of the forest"):
+        ModForestCounter(ForestTables(y), 2, ("v1",), "w", lambda nu: True, {"w": "P9"})
 
 
 def test_eliminate_extensional_contract():

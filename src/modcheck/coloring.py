@@ -13,18 +13,21 @@ and a smaller one has all its vertices pairwise within distance p - 2, so
 each of its colors is unique.  Only the smaller radii it tries first are
 checked by the validator.
 
-Every forest here comes from one of two peels.  ``_peel_forest`` removes a
-chosen root from each component and peels the rest below it: a root of
-minimum tree-depth for the exact forest, a separator for the heuristic one.
-``_centered_peel`` removes each component's uniquely colored vertex of
-smallest (color, id); the validator runs it on unions of color classes, and
-``forest_from_centered`` turns its removals into a forest.
+Every forest here comes from one of two peels, and both return a parent
+map: ``EliminationForest`` derives levels, children and root paths from it.
+``_peel_forest`` removes a chosen root from each component and peels the
+rest below it: a root of minimum tree-depth for the exact forest, a
+separator for the heuristic one.  ``_centered_peel`` removes each
+component's uniquely colored vertex of smallest (color, id); the validator
+runs it on unions of color classes, and ``forest_from_centered`` turns its
+removals into a forest.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .structures import Graph, GuidedStructure, degeneracy_order, gaifman
@@ -57,40 +60,74 @@ class CenteredColoring:
 
 @dataclass
 class EliminationForest:
-    """Rooted forest on the vertex set; roots are their own parents.
+    """Rooted forest on the vertex set, given by its parent map alone: roots
+    are their own parents, and forests with equal parent maps are equal.
 
-    Built so that every edge of the originating graph joins an ancestor to a
-    descendant (the graph embeds in the forest's ancestor closure).
+    Everything else is derived here, once, from the parents: ``level``
+    (roots at 1, filled top-down), the sorted ``vertices`` and ``roots``,
+    ``children`` (ascending ids; leaves map to ``()``), a top-down ``order``
+    (each parent before its children) and ``height``.  ``path[v]``, the
+    vertices of v's root path from the root down to v, is built when first
+    read: a forest read without its paths stays linear on deep chains.  A
+    parent cycle, or a parent with no entry of its own, raises ValueError;
+    the second message speaks of 'r' and 'p' lines, as the forest file
+    reader reports it.
+
+    Producers build it so that every edge of the originating graph joins an
+    ancestor to a descendant (the graph embeds in the forest's ancestor
+    closure); ``validate`` checks that.
     """
 
     parent: Dict[int, int]
-    level: Dict[int, int]
 
-    @property
-    def height(self) -> int:
-        return max(self.level.values(), default=0)
+    def __post_init__(self):
+        # plain loops over locals: most forests have a handful of vertices,
+        # and one is built for every base of the pipeline
+        parent = self.parent
+        vertices = tuple(sorted(parent))
+        roots: List[int] = []
+        kids: Dict[int, List[int]] = {}
+        for v in vertices:
+            p = parent[v]
+            if p == v:
+                roots.append(v)
+            elif p in parent:
+                kids.setdefault(p, []).append(v)
+            else:
+                raise ValueError(f"vertex {p} has no 'r' or 'p' line")
+        children: Dict[int, Tuple[int, ...]] = dict.fromkeys(vertices, ())
+        for p, cs in kids.items():
+            children[p] = tuple(cs)
+        level: Dict[int, int] = {}
+        order: List[int] = []
+        frontier, depth = roots, 0
+        while frontier:
+            depth += 1
+            order += frontier
+            below: List[int] = []
+            for v in frontier:
+                level[v] = depth
+                below += children[v]
+            frontier = below
+        if len(order) < len(vertices):
+            # some vertex is not below a root: walk up from the smallest one
+            # until the walk repeats a vertex, which lies on a cycle
+            u = min(v for v in vertices if v not in level)
+            seen = set()
+            while u not in seen:
+                seen.add(u)
+                u = parent[u]
+            raise ValueError(f"parent cycle through vertex {u}")
+        self.vertices, self.roots, self.children = vertices, tuple(roots), children
+        self.level, self.order, self.height = level, order, depth
 
-    def vertices(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.parent))
-
-    def roots(self) -> Tuple[int, ...]:
-        return tuple(sorted(v for v, p in self.parent.items() if p == v))
-
-    def children(self) -> Dict[int, Tuple[int, ...]]:
-        out: Dict[int, List[int]] = {v: [] for v in self.parent}
-        for v in sorted(self.parent):
+    @cached_property
+    def path(self) -> Dict[int, Tuple[int, ...]]:
+        out: Dict[int, Tuple[int, ...]] = {}
+        for v in self.order:
             p = self.parent[v]
-            if p != v:
-                out[p].append(v)
-        return {v: tuple(c) for v, c in out.items()}
-
-    def strict_ancestors(self, v: int) -> Tuple[int, ...]:
-        """Ancestors from parent up to the root."""
-        out = []
-        while self.parent[v] != v:
-            v = self.parent[v]
-            out.append(v)
-        return tuple(out)
+            out[v] = out[p] + (v,) if p != v else (v,)
+        return out
 
     def ancestor_at_level(self, v: int, lvl: int) -> int:
         if not 1 <= lvl <= self.level[v]:
@@ -99,26 +136,17 @@ class EliminationForest:
             v = self.parent[v]
         return v
 
-    def root_of(self, v: int) -> int:
-        return self.ancestor_at_level(v, 1)
-
     def is_ancestor(self, u: int, v: int) -> bool:
         """True when u is an ancestor of v (or equal)."""
         if self.level[u] > self.level[v]:
             return False
         return self.ancestor_at_level(v, self.level[u]) == u
 
-    def validate(self, g: Optional[Graph] = None) -> None:
-        for v, p in self.parent.items():
-            if p == v:
-                if self.level[v] != 1:
-                    raise ValueError(f"root {v} not at level 1")
-            elif self.level[v] != self.level[p] + 1:
-                raise ValueError(f"level gap at {v}")
-        if g is not None:
-            for u, v in g.edges():
-                if not (self.is_ancestor(u, v) or self.is_ancestor(v, u)):
-                    raise ValueError(f"edge ({u},{v}) is not ancestor-descendant in the forest")
+    def validate(self, g: Graph) -> None:
+        """Check that every edge of g joins an ancestor to a descendant."""
+        for u, v in g.edges():
+            if not (self.is_ancestor(u, v) or self.is_ancestor(v, u)):
+                raise ValueError(f"edge ({u},{v}) is not ancestor-descendant in the forest")
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +330,15 @@ def _peel_forest(g: Graph, choose: Callable[[_TreedepthEngine, FrozenSet[int]], 
     component is peeled below it."""
     eng = _TreedepthEngine(g)
     parent: Dict[int, int] = {}
-    level: Dict[int, int] = {}
 
-    def peel(vs: FrozenSet[int], par: Optional[int], lvl: int) -> None:
+    def peel(vs: FrozenSet[int], par: Optional[int]) -> None:
         for comp in eng.components(vs):
             v = min(comp) if len(comp) == 1 else choose(eng, comp)
             parent[v] = v if par is None else par
-            level[v] = lvl
-            peel(comp - {v}, v, lvl + 1)
+            peel(comp - {v}, v)
 
-    peel(frozenset(g.vertices), None, 1)
-    return EliminationForest(parent, level)
+    peel(frozenset(g.vertices), None)
+    return EliminationForest(parent)
 
 
 def optimal_elimination_forest(g: Graph) -> EliminationForest:
@@ -338,33 +364,31 @@ def coloring_from_forest(forest: EliminationForest, p: int) -> CenteredColoring:
 
 def _centered_peel(
     eng: _TreedepthEngine, vs: FrozenSet[int], colors: Dict[int, int]
-) -> Tuple[Optional[Tuple[int, ...]], Dict[int, int], Dict[int, int]]:
+) -> Tuple[Optional[Tuple[int, ...]], Dict[int, int]]:
     """Peel ``vs`` by colors: in every component, delete the uniquely colored
     vertex with the smallest (color, id) and peel the rest of the component
     below it.
 
     Returns the first component met with no uniquely colored vertex (None
-    when there is none) and the parent and level maps of the vertices peeled.
-    Which unique vertex is deleted does not change whether a violation exists.
+    when there is none) and the parent map of the vertices peeled.  Which
+    unique vertex is deleted does not change whether a violation exists.
     """
     parent: Dict[int, int] = {}
-    level: Dict[int, int] = {}
-    stack: List[Tuple[FrozenSet[int], Optional[int], int]] = [(vs, None, 1)]
+    stack: List[Tuple[FrozenSet[int], Optional[int]]] = [(vs, None)]
     while stack:
-        cur, par, lvl = stack.pop()
+        cur, par = stack.pop()
         for comp in eng.components(cur):
             counts: Dict[int, int] = {}
             for v in comp:
                 counts[colors[v]] = counts.get(colors[v], 0) + 1
             unique = [v for v in comp if counts[colors[v]] == 1]
             if not unique:
-                return tuple(sorted(comp)), parent, level
+                return tuple(sorted(comp)), parent
             pick = min(unique, key=lambda v: (colors[v], v))
             parent[pick] = pick if par is None else par
-            level[pick] = lvl
             if len(comp) > 1:
-                stack.append((comp - {pick}, pick, lvl + 1))
-    return None, parent, level
+                stack.append((comp - {pick}, pick))
+    return None, parent
 
 
 def validate_p_centered(g: Graph, coloring: CenteredColoring, p: Optional[int] = None) -> Optional[Tuple[int, ...]]:
@@ -467,9 +491,7 @@ def forest_from_centered(m: GuidedStructure, coloring: CenteredColoring) -> Elim
     below it and every edge joins an ancestor to a descendant.
     """
     g = gaifman(m)
-    violation, parent, level = _centered_peel(
-        _TreedepthEngine(g), frozenset(g.vertices), coloring.colors
-    )
+    violation, parent = _centered_peel(_TreedepthEngine(g), frozenset(g.vertices), coloring.colors)
     if violation is not None:
         raise NotCenteredError(violation)
-    return EliminationForest(parent, level)
+    return EliminationForest(parent)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .coloring import EliminationForest
@@ -81,6 +82,7 @@ class ColoredForest:
     edge_marks[(j, i)]: level-i vertices adjacent to their level-j ancestor.
     func_marks[(f, j, i, eps)]: see module docstring; the mark always sits on
     the deeper (level-i) endpoint of the arc.
+    letters: the three tables inverted per vertex, built when first read.
     """
 
     forest: EliminationForest
@@ -129,12 +131,22 @@ class ColoredForest:
                 fmarks[(fname, j, i, eps)] = vs
         self.func_marks = fmarks
 
-    def vertices(self) -> Tuple[int, ...]:
-        return self.forest.vertices()
-
     @property
     def height(self) -> int:
         return self.forest.height
+
+    @cached_property
+    def letters(self) -> Dict[int, Tuple[str, ...]]:
+        """Vertex -> names of its marks: source marks in signature order,
+        then edge marks and function marks by key."""
+        out: Dict[int, List[str]] = {v: [] for v in self.forest.vertices}
+        tables = list(self.marks.items())
+        tables += [(edge_mark_name(*key), vs) for key, vs in sorted(self.edge_marks.items())]
+        tables += [(func_mark_name(*key), vs) for key, vs in sorted(self.func_marks.items())]
+        for name, vs in tables:
+            for v in vs:
+                out[v].append(name)
+        return {v: tuple(names) for v, names in out.items()}
 
 
 def validate_codec_marks(y: ColoredForest) -> None:
@@ -200,7 +212,7 @@ def decode_IS(y: ColoredForest) -> GuidedStructure:
     distinct images for one argument is a hard DecodeConflictError.
     """
     forest = y.forest
-    domain = forest.vertices()
+    domain = forest.vertices
     edges = set()
     for (j, i), vs in y.edge_marks.items():
         for v in vs:
@@ -253,7 +265,7 @@ def forest_structure(y: ColoredForest, height: Optional[int] = None) -> GuidedSt
     sig = forest_signature(y.signature, h)
     marks: Dict[str, Tuple[int, ...]] = dict(y.marks)
     by_level: Dict[int, List[int]] = {}
-    for v in y.forest.vertices():
+    for v in y.forest.vertices:
         by_level.setdefault(y.forest.level[v], []).append(v)
     for i in range(1, h + 1):
         marks[level_mark_name(i)] = tuple(by_level.get(i, ()))
@@ -267,7 +279,7 @@ def forest_structure(y: ColoredForest, height: Optional[int] = None) -> GuidedSt
                     marks[func_mark_name(fname, j, i, eps)] = y.func_marks.get((fname, j, i, eps), ())
     edges = sorted((p, v) if p < v else (v, p) for v, p in y.forest.parent.items() if p != v)
     functions = {PARENT_FUNCTION: dict(y.forest.parent)}
-    return GuidedStructure._assemble(sig, y.forest.vertices(), tuple(edges), marks, functions)
+    return GuidedStructure._assemble(sig, y.forest.vertices, tuple(edges), marks, functions)
 
 
 # ---------------------------------------------------------------------------
@@ -467,24 +479,10 @@ def parse_forest(text: str) -> ColoredForest:
         if c in parent:
             raise GraphFormatError(1, f"vertex {c} is both root and child")
         parent[c] = p
-    level: Dict[int, int] = {}
-    for v in sorted(parent):
-        # walk up to a vertex with a known level, then fill levels back down
-        trail: Dict[int, None] = {}  # an ordered set
-        u = v
-        while u not in level:
-            if u in trail:
-                raise GraphFormatError(1, f"parent cycle through vertex {u}")
-            if u not in parent:
-                raise GraphFormatError(1, f"vertex {u} has no 'r' or 'p' line")
-            if parent[u] == u:
-                level[u] = 1
-                break
-            trail[u] = None
-            u = parent[u]
-        for d, w in enumerate(reversed(trail), level[u] + 1):
-            level[w] = d
-    forest = EliminationForest(parent, level)
+    try:
+        forest = EliminationForest(parent)
+    except ValueError as exc:  # a parent cycle or a missing parent
+        raise GraphFormatError(1, str(exc)) from None
 
     try:
         sig = Signature(tuple(rels), tuple(fns))
@@ -528,22 +526,13 @@ def serialize_forest(y: ColoredForest) -> str:
         lines.append(f"rel {name}")
     for name in y.signature.unary_functions:
         lines.append(f"fn {name}")
-    for r in y.forest.roots():
+    for r in y.forest.roots:
         lines.append(f"r {r}")
-    for v in y.forest.vertices():
+    for v in y.forest.vertices:
         p = y.forest.parent[v]
         if p != v:
             lines.append(f"p {v} {p}")
-    per_vertex: Dict[int, List[str]] = {}
-    for name in y.signature.unary_relations:
-        for v in y.marks[name]:
-            per_vertex.setdefault(v, []).append(name)
-    for (j, i), vs in sorted(y.edge_marks.items()):
-        for v in vs:
-            per_vertex.setdefault(v, []).append(edge_mark_name(j, i))
-    for key, vs in sorted(y.func_marks.items()):
-        for v in vs:
-            per_vertex.setdefault(v, []).append(func_mark_name(*key))
-    for v in sorted(per_vertex):
-        lines.append("m " + " ".join([str(v)] + per_vertex[v]))
+    for v, names in y.letters.items():
+        if names:
+            lines.append("m " + " ".join((str(v),) + names))
     return "\n".join(lines) + "\n"

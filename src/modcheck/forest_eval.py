@@ -27,6 +27,9 @@ acceptance: the census examines only the witness classes whose last code
 carries the witness's mark, and a tuple whose argument codes lack theirs
 counts 0 without a census.
 
+Every layer reads the forest's own tables: levels, children and root paths
+from ``EliminationForest``, each vertex's marks from ``ColoredForest.letters``.
+
 A closure is described without building it: ``typed_shape_key`` records the
 exact subtree codes along each entry's root path and, per pair of entries,
 how many levels their root paths share.  Tuples with equal keys are
@@ -42,13 +45,7 @@ from collections import Counter
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .coloring import EliminationForest
-from .forest_codec import (
-    ColoredForest,
-    edge_mark_name,
-    forest_structure,
-    func_mark_name,
-    level_mark_name,
-)
+from .forest_codec import ColoredForest, _pi_term, forest_structure, level_mark_name
 from .logic import (
     EqAtom,
     Formula,
@@ -72,38 +69,6 @@ def reset_case_counters() -> None:
 
 
 # ---------------------------------------------------------------------------
-# forest indexing and letters
-# ---------------------------------------------------------------------------
-
-
-class _Index:
-    """Sorted vertices, roots, children lists, root paths (vertices from the
-    root down, the vertex last) and per-vertex letters (all marks except
-    levels) of one forest, computed once."""
-
-    def __init__(self, y: ColoredForest):
-        self.forest = y.forest
-        self.vertices: Tuple[int, ...] = y.forest.vertices()
-        self.roots: Tuple[int, ...] = y.forest.roots()
-        self.children: Dict[int, Tuple[int, ...]] = y.forest.children()
-        self.path: Dict[int, Tuple[int, ...]] = {}
-        for v in sorted(self.vertices, key=self.forest.level.__getitem__):
-            p = self.forest.parent[v]
-            self.path[v] = self.path[p] + (v,) if p != v else (v,)
-        letters: Dict[int, List[str]] = {v: [] for v in self.vertices}
-        for name in y.signature.unary_relations:
-            for v in y.marks[name]:
-                letters[v].append(name)
-        for (j, i), vs in sorted(y.edge_marks.items()):
-            for v in vs:
-                letters[v].append(edge_mark_name(j, i))
-        for key, vs in sorted(y.func_marks.items()):
-            for v in vs:
-                letters[v].append(func_mark_name(*key))
-        self.letter: Dict[int, Tuple[str, ...]] = {v: tuple(sorted(ls)) for v, ls in letters.items()}
-
-
-# ---------------------------------------------------------------------------
 # subtree type codes
 # ---------------------------------------------------------------------------
 
@@ -119,23 +84,25 @@ class SubtreeTypeTable:
     marks) of every vertex with code ``tid``.
     """
 
-    def __init__(self, y: ColoredForest, threshold: Optional[int] = None, modulus: int = 1, index: Optional[_Index] = None):
+    def __init__(self, y: ColoredForest, threshold: Optional[int] = None, modulus: int = 1):
         if modulus < 1:
             raise ValueError("modulus must be positive")
         self.threshold = threshold
         self.modulus = modulus
-        self.index = index or _Index(y)
+        self.forest = forest = y.forest
+        letter = y.letters
         self.code: Dict[int, int] = {}
         self.letters: List[Tuple[str, ...]] = []
         self._intern: Dict[tuple, int] = {}
-        order = sorted(self.index.vertices, key=lambda v: -self.index.forest.level[v])
-        for v in order:
-            counts = Counter(self.code[c] for c in self.index.children[v])
+        # deepest level first, ids ascending within a level: the numbering
+        # of exact codes shows in materialized mark names
+        for v in sorted(forest.vertices, key=forest.level.__getitem__, reverse=True):
+            counts = Counter(self.code[c] for c in forest.children[v])
             if threshold is None:
                 summary = tuple(sorted(counts.items()))
             else:
                 summary = tuple(sorted((c, (min(n, threshold), n % modulus)) for c, n in counts.items()))
-            key = (self.index.letter[v], summary)
+            key = (letter[v], summary)
             tid = self._intern.get(key)
             if tid is None:
                 tid = len(self._intern)
@@ -143,7 +110,7 @@ class SubtreeTypeTable:
                 self.letters.append(key[0])
             self.code[v] = tid
         self.path: Dict[int, Tuple[int, ...]] = {
-            v: tuple(map(self.code.__getitem__, p)) for v, p in self.index.path.items()
+            v: tuple(map(self.code.__getitem__, p)) for v, p in forest.path.items()
         }
 
 
@@ -152,8 +119,8 @@ class SubtreeTypeTable:
 # ---------------------------------------------------------------------------
 
 
-def _closure_vertices(idx: _Index, vbar: Sequence[int]) -> List[int]:
-    return sorted({u for v in vbar for u in idx.path[v]})
+def _closure_vertices(forest: EliminationForest, vbar: Sequence[int]) -> List[int]:
+    return sorted({u for v in vbar for u in forest.path[v]})
 
 
 def typed_shape_key(codes: SubtreeTypeTable, vbar: Sequence[int]) -> tuple:
@@ -165,7 +132,7 @@ def typed_shape_key(codes: SubtreeTypeTable, vbar: Sequence[int]) -> tuple:
     codes extend a match of closures to a forest automorphism, so tuples
     with equal keys are automorphic and any formula value at them agrees.
     """
-    paths = codes.index.path
+    paths = codes.forest.path
     shared: List[int] = []
     for i, u in enumerate(vbar):
         pu = paths[u]
@@ -191,48 +158,23 @@ def _kept_count(n: int, threshold: int, modulus: int) -> int:
 
 def _prune(y: ColoredForest, table: SubtreeTypeTable, anchors: Sequence[int]) -> Tuple[ColoredForest, Dict[int, int]]:
     """Bounded-size forest satisfying the same formulas at the anchors."""
-    idx = table.index
-    anchored = set(_closure_vertices(idx, anchors))
-
-    vertex_marks: Dict[int, List[tuple]] = {v: [] for v in idx.vertices}
-    for name in y.signature.unary_relations:
-        for v in y.marks[name]:
-            vertex_marks[v].append(("m", name))
-    for key, vs in sorted(y.edge_marks.items()):
-        for v in vs:
-            vertex_marks[v].append(("e", key))
-    for key, vs in sorted(y.func_marks.items()):
-        for v in vs:
-            vertex_marks[v].append(("f", key))
-
+    forest = y.forest
+    anchored = set(_closure_vertices(forest, anchors))
     parent: Dict[int, int] = {}
-    level: Dict[int, int] = {}
-    marks: Dict[str, List[int]] = {name: [] for name in y.signature.unary_relations}
-    edge_marks: Dict[Tuple[int, int], List[int]] = {}
-    func_marks: Dict[Tuple[str, int, int, int], List[int]] = {}
-    vmap: Dict[int, int] = {}
+    copies: Dict[int, List[int]] = {}  # vertex of y -> its copies
     counter = itertools.count()
 
-    def emit(v: int, new_parent: Optional[int], lvl: int) -> None:
+    def emit(v: int, new_parent: Optional[int]) -> None:
         nid = next(counter)
         parent[nid] = nid if new_parent is None else new_parent
-        level[nid] = lvl
-        if v in anchored:
-            vmap[v] = nid
-        for kind, key in vertex_marks[v]:
-            if kind == "m":
-                marks[key].append(nid)
-            elif kind == "e":
-                edge_marks.setdefault(key, []).append(nid)
-            else:
-                func_marks.setdefault(key, []).append(nid)
-        emit_children(idx.children[v], nid, lvl + 1)
+        copies.setdefault(v, []).append(nid)
+        emit_children(forest.children[v], nid)
 
-    def emit_children(kids: Sequence[int], new_parent: Optional[int], lvl: int) -> None:
+    def emit_children(kids: Sequence[int], new_parent: Optional[int]) -> None:
         free_groups: Dict[int, List[int]] = {}
         for c in kids:
             if c in anchored:
-                emit(c, new_parent, lvl)
+                emit(c, new_parent)
             else:
                 free_groups.setdefault(table.code[c], []).append(c)
         for code in sorted(free_groups):
@@ -240,17 +182,18 @@ def _prune(y: ColoredForest, table: SubtreeTypeTable, anchors: Sequence[int]) ->
             keep = _kept_count(len(group), table.threshold, table.modulus)
             rep = group[0]
             for _ in range(keep):
-                emit(rep, new_parent, lvl)
+                emit(rep, new_parent)
 
-    emit_children(idx.roots, None, 1)
+    emit_children(forest.roots, None)
+
+    def remap(mark_table: dict) -> dict:
+        return {k: tuple(nid for v in vs for nid in copies.get(v, ())) for k, vs in mark_table.items()}
+
     pruned = ColoredForest(
-        EliminationForest(parent, level),
-        y.signature,
-        {k: tuple(vs) for k, vs in marks.items()},
-        {k: tuple(vs) for k, vs in edge_marks.items()},
-        {k: tuple(vs) for k, vs in func_marks.items()},
+        EliminationForest(parent), y.signature, remap(y.marks), remap(y.edge_marks), remap(y.func_marks)
     )
-    return pruned, vmap
+    # an anchored vertex is copied once
+    return pruned, {v: copies[v][0] for v in anchored}
 
 
 def eval_forest(
@@ -268,7 +211,7 @@ def eval_forest(
     if height_bound is not None and y.forest.height > height_bound:
         raise ValueError(f"forest height {y.forest.height} exceeds bound {height_bound}")
     nu = dict(valuation or {})
-    verts = set(y.forest.vertices())
+    verts = set(y.forest.vertices)
     for var, v in nu.items():
         if v not in verts:
             raise ValueError(f"valuation sends {var} to {v}, not a forest vertex")
@@ -287,10 +230,6 @@ def eval_forest(
 # ---------------------------------------------------------------------------
 
 
-def _pi_term(var: str, steps: int) -> Term:
-    return Term(var, (1,) * steps)
-
-
 class ForestTables:
     """Formula-independent census tables of one forest ``y``, shareable by
     counters: exact subtree codes, which record each code's letter, and, for
@@ -302,12 +241,11 @@ class ForestTables:
 
     def __init__(self, y: ColoredForest):
         self.y = y
-        self.index = _Index(y)
-        self.codes = SubtreeTypeTable(y, index=self.index)
+        self.codes = SubtreeTypeTable(y)
         code_path = self.codes.path
         self.down = Counter(
             (path[d], code_path[w][d + 1 :])
-            for w, path in self.index.path.items()
+            for w, path in y.forest.path.items()
             for d in range(len(path) - 1)
         )
         self.n_table = Counter(code_path.values())
@@ -363,7 +301,7 @@ class ModForestCounter:
                 raise ValueError(f"guard mark {mark!r} is not a mark of the forest")
         self.tables = tables
         self.y = tables.y
-        self.index = tables.index
+        self.forest = tables.y.forest
         self.codes = tables.codes
         self.b = b
         self.xvars = xvars
@@ -407,7 +345,7 @@ class ModForestCounter:
     def _find_below(self, v: int, q: Tuple[int, ...], skip: FrozenSet[int] = frozenset()) -> Optional[int]:
         if not q:
             return v
-        for c in self.index.children[v]:
+        for c in self.forest.children[v]:
             if c in skip or self.codes.code[c] != q[0]:
                 continue
             got = self._find_below(c, q[1:])
@@ -418,11 +356,11 @@ class ModForestCounter:
     # -- the census ---------------------------------------------------------
 
     def _closure_data(self, vbar: Tuple[int, ...]):
-        forest = self.index.forest
-        closure = _closure_vertices(self.index, vbar)
+        forest = self.forest
+        closure = _closure_vertices(forest, vbar)
         cset = set(closure)
         pinned: Dict[int, List[int]] = {
-            s: [c for c in self.index.children[s] if c in cset] for s in closure
+            s: [c for c in forest.children[s] if c in cset] for s in closure
         }
         roots = [v for v in closure if forest.parent[v] == v]
         return closure, pinned, roots
@@ -478,7 +416,7 @@ class ModForestCounter:
                 continue
             CASE_COUNTER["A"] += 1
             w = None
-            for r in self.index.roots:
+            for r in self.forest.roots:
                 if r in croots or self.codes.code[r] != qfull[0]:
                     continue
                 w = self._find_below(r, qfull[1:])
@@ -501,7 +439,7 @@ class ModForestCounter:
         """
         if not 0 <= c < self.b:
             raise ValueError(f"residue {c} out of range for modulus {self.b}")
-        domain = self.index.vertices
+        domain = self.forest.vertices
         k = len(self.xvars)
         groups: Dict[tuple, Tuple[int, ...]] = {}
         for vbar in itertools.product(domain, repeat=k):
@@ -538,7 +476,7 @@ class ModForestCounter:
             # whose root path reaches it, with its code mark
             pos_term: Dict[int, Term] = {}
             for x, v, q in zip(self.xvars, vbar, code_paths):
-                path = self.index.path[v]
+                path = self.forest.path[v]
                 for d, u in enumerate(path):
                     if u not in pos_term:
                         pos_term[u] = _pi_term(x, len(path) - 1 - d)
@@ -577,23 +515,23 @@ class ModForestCounter:
         new_marks: Dict[str, List[int]] = {}
         for tid in sorted(used_codes):
             new_marks[f"{mark_prefix}Code{tid}"] = [
-                v for v in self.index.vertices if self.codes.code[v] == tid
+                v for v in self.forest.vertices if self.codes.code[v] == tid
             ]
         for (kind, q), qid in sorted(used_paths.items(), key=lambda kv: kv[1]):
             for r in range(self.b):
                 if kind == "C":
                     new_marks[f"{mark_prefix}Blue{qid}x{r}"] = [
-                        v for v in self.index.vertices if self.down(v, q) % self.b == r
+                        v for v in self.forest.vertices if self.down(v, q) % self.b == r
                     ]
                     new_marks[f"{mark_prefix}Green{qid}x{r}"] = [
                         v
-                        for v in self.index.vertices
+                        for v in self.forest.vertices
                         if ((self.down(v, q[1:]) if self.codes.code[v] == q[0] else 0) % self.b) == r
                     ]
                 else:
                     new_marks[f"{mark_prefix}Root{qid}x{r}"] = [
                         v
-                        for v in self.index.vertices
+                        for v in self.forest.vertices
                         if ((self.down(v, q[1:]) if self.codes.code[v] == q[0] else 0) % self.b) == r
                     ]
         sig = self.y.signature.with_relations(sorted(new_marks))

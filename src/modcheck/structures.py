@@ -467,12 +467,8 @@ def serialize_graph(m: GuidedStructure) -> str:
     if m.domain and m.domain != tuple(range(len(m.domain))):
         raise ValueError("graph files require dense vertex ids 0..n-1")
     lines = [f"n {len(m.domain)}"]
-    per_vertex: Dict[int, List[str]] = {}
-    for name in m.signature.unary_relations:
-        for v in m.marks[name]:
-            per_vertex.setdefault(v, []).append(name)
-    for v in sorted(per_vertex):
-        lines.append("v " + " ".join([str(v)] + per_vertex[v]))
+    for v, names in sorted(m._marks_by_vertex().items()):
+        lines.append("v " + " ".join([str(v)] + names))
     for u, v in m.edges:
         lines.append(f"e {u} {v}")
     for name in m.signature.unary_functions:

@@ -238,7 +238,7 @@ def random_colored_forest(
         name: tuple(v for v in range(n) if rng.random() < mark_prob)
         for name in sig.unary_relations
     }
-    return ColoredForest(EliminationForest(parent, level), sig, marks)
+    return ColoredForest(EliminationForest(parent), sig, marks)
 
 
 # ---------------------------------------------------------------------------

@@ -279,10 +279,10 @@ def test_criterion_4_forest_elimination_extensional():
         y_star, zeta = eliminate_mod_on_forest(y, sigma, c, b, yvar="w")
         phi = ModExists(c, b, "w", sigma)
         fs, fs_star = forest_structure(y), forest_structure(y_star)
-        for vbar in itertools.product(y.forest.vertices(), repeat=k):
+        for vbar in itertools.product(y.forest.vertices, repeat=k):
             nu = dict(zip(fv, vbar))
             assert eval_naive(fs, phi, nu) == eval_naive(fs_star, zeta, nu), (
-                f"n={len(y.forest.vertices())} k={k} c={c} b={b} vbar={vbar}: {sigma}"
+                f"n={len(y.forest.vertices)} k={k} c={c} b={b} vbar={vbar}: {sigma}"
             )
             tuples_checked += 1
         eliminations += 1

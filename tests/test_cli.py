@@ -373,7 +373,7 @@ def test_forest_eval_answers_over_the_forest_vocabulary(capsys, c4, tmp_path):
         else:
             phi = random_formula(rng, fsig, fv, q_budget=2, depth=2, moduli=(2, 3), max_funcs=2)
         with_emod += any(isinstance(n, ModExists) for n in walk(phi))
-        nu = {v: rng.choice(y.forest.vertices()) for v in fv}
+        nu = {v: rng.choice(y.forest.vertices) for v in fv}
         forest_path.write_text(serialize_forest(y))
         argv = ["forest", "eval", "-F", str(forest_path), "-f", format_formula(phi, fsig)]
         if nu:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from modcheck.coloring import (
     CenteredColoring,
+    EliminationForest,
     NotCenteredError,
     _greedy_distance_coloring,
     coloring_from_forest,
@@ -175,12 +176,38 @@ def test_forest_queries():
     g = path_graph(7)
     forest = optimal_elimination_forest(g)
     assert forest.height == 3
-    (root,) = forest.roots()
+    (root,) = forest.roots
     for v in g.vertices:
-        assert forest.root_of(v) == root
+        path = forest.path[v]
+        assert path[0] == root and path[-1] == v
         assert forest.is_ancestor(root, v)
-        ancs = forest.strict_ancestors(v)
-        assert len(ancs) == forest.level[v] - 1
+        assert len(path) == forest.level[v]
+        assert all(forest.parent[b] == a for a, b in zip(path, path[1:]))
+
+
+def test_forest_derives_its_tables_from_the_parent_map():
+    #   9       2
+    #  / \      |
+    # 4   7     5
+    #     |
+    #     1
+    forest = EliminationForest({9: 9, 4: 9, 7: 9, 1: 7, 2: 2, 5: 2})
+    assert forest.vertices == (1, 2, 4, 5, 7, 9)
+    assert forest.roots == (2, 9)
+    assert forest.level == {9: 1, 2: 1, 4: 2, 7: 2, 5: 2, 1: 3}
+    assert forest.height == 3
+    assert forest.children == {9: (4, 7), 7: (1,), 2: (5,), 4: (), 1: (), 5: ()}
+    assert sorted(forest.order) == list(forest.vertices)
+    seen = set()
+    for v in forest.order:
+        assert forest.parent[v] == v or forest.parent[v] in seen
+        seen.add(v)
+    assert forest.path == {9: (9,), 4: (9, 4), 7: (9, 7), 1: (9, 7, 1), 2: (2,), 5: (2, 5)}
+    assert forest == EliminationForest({5: 2, 2: 2, 1: 7, 7: 9, 4: 9, 9: 9})
+    with pytest.raises(ValueError, match="parent cycle through vertex 1"):
+        EliminationForest({0: 0, 1: 2, 2: 1, 3: 1})
+    with pytest.raises(ValueError, match="vertex 8 has no"):
+        EliminationForest({0: 0, 1: 8})
 
 
 def test_forest_depth_coloring_is_fully_centered():
@@ -332,7 +359,7 @@ def test_forest_from_centered_tiebreak():
     g = path_graph(3)
     cand = CenteredColoring(3, {0: 2, 1: 3, 2: 1})
     forest = forest_from_centered(_plain(g), cand)
-    assert forest.roots() == (2,)
+    assert forest.roots == (2,)
     assert forest.level == {2: 1, 0: 2, 1: 3}
 
 

@@ -49,7 +49,7 @@ def test_encode_single_vertex():
 
 def test_encode_single_edge():
     m = GuidedStructure(Signature(), [0, 1], [(0, 1)])
-    forest = EliminationForest({0: 0, 1: 0}, {0: 1, 1: 2})
+    forest = EliminationForest({0: 0, 1: 0})
     y = encode_IY(m, forest)
     assert y.edge_marks == {(1, 2): (1,)}
 
@@ -60,7 +60,7 @@ def test_encode_function_marks_both_directions():
     m = GuidedStructure(
         sig, [0, 1, 2], [(0, 1), (0, 2)], functions={"f": {0: 2, 1: 0, 2: 2}}
     )
-    forest = EliminationForest({0: 0, 1: 0, 2: 0}, {0: 1, 1: 2, 2: 2})
+    forest = EliminationForest({0: 0, 1: 0, 2: 0})
     y = encode_IY(m, forest)
     assert y.func_marks == {("f", 1, 2, 1): (1,), ("f", 1, 2, 0): (2,)}
     validate_codec_marks(y)
@@ -68,14 +68,14 @@ def test_encode_function_marks_both_directions():
 
 def test_encode_rejects_cross_edges():
     m = GuidedStructure(Signature(), [0, 1, 2], [(1, 2)])
-    forest = EliminationForest({0: 0, 1: 0, 2: 0}, {0: 1, 1: 2, 2: 2})
+    forest = EliminationForest({0: 0, 1: 0, 2: 0})
     with pytest.raises(ValueError, match="ancestor-descendant"):
         encode_IY(m, forest)
 
 
 def test_encode_rejects_domain_mismatch():
     m = GuidedStructure(Signature(), [0, 1])
-    forest = EliminationForest({0: 0}, {0: 1})
+    forest = EliminationForest({0: 0})
     with pytest.raises(ValueError, match="domain"):
         encode_IY(m, forest)
 
@@ -87,7 +87,7 @@ def test_encode_rejects_domain_mismatch():
 
 def test_decode_unmarked_forest_is_edgeless_identity():
     sig = Signature(("P",), ("f",))
-    forest = EliminationForest({0: 0, 1: 0, 2: 1}, {0: 1, 1: 2, 2: 3})
+    forest = EliminationForest({0: 0, 1: 0, 2: 1})
     y = ColoredForest(forest, sig, {"P": (1,)})
     m = decode_IS(y)
     assert m.edges == ()
@@ -97,7 +97,7 @@ def test_decode_unmarked_forest_is_edgeless_identity():
 
 def test_decode_conflict_is_an_error():
     sig = Signature(unary_functions=("f",))
-    forest = EliminationForest({0: 0, 1: 0, 2: 1}, {0: 1, 1: 2, 2: 3})
+    forest = EliminationForest({0: 0, 1: 0, 2: 1})
     # both marks claim an image for f(1): its level-1 ancestor and itself via
     # the descendant mark on 2
     y = ColoredForest(
@@ -112,7 +112,7 @@ def test_decode_conflict_is_an_error():
 
 def test_two_vertex_roundtrip():
     m = GuidedStructure(Signature(), [0, 1], [(0, 1)])
-    forest = EliminationForest({0: 0, 1: 0}, {0: 1, 1: 2})
+    forest = EliminationForest({0: 0, 1: 0})
     assert decode_IS(encode_IY(m, forest)) == m
 
 
@@ -132,7 +132,7 @@ def test_encode_preserves_vertex_set():
     rng = random.Random(3)
     m = random_guided_structure(rng, 9, family="lowtd")
     y, forest = encode_via_heuristic(m)
-    assert y.vertices() == m.domain
+    assert y.forest.vertices == m.domain
     assert sorted(forest.parent) == list(m.domain)
 
 
@@ -143,7 +143,7 @@ def test_encode_preserves_vertex_set():
 
 def test_forest_structure_levels_and_parent():
     sig = Signature(("P",), ())
-    forest = EliminationForest({0: 0, 1: 0, 2: 1}, {0: 1, 1: 2, 2: 3})
+    forest = EliminationForest({0: 0, 1: 0, 2: 1})
     y = ColoredForest(forest, sig, {"P": (2,)})
     fs = forest_structure(y)
     assert fs.marks["Lvl1"] == (0,) and fs.marks["Lvl3"] == (2,)
@@ -153,7 +153,7 @@ def test_forest_structure_levels_and_parent():
 
 def test_forest_structure_height_padding():
     sig = Signature()
-    forest = EliminationForest({0: 0}, {0: 1})
+    forest = EliminationForest({0: 0})
     y = ColoredForest(forest, sig)
     fs = forest_structure(y, height=3)
     assert "Lvl3" in fs.marks and fs.marks["Lvl3"] == ()
@@ -162,7 +162,7 @@ def test_forest_structure_height_padding():
 
 
 def test_reserved_names_rejected():
-    forest = EliminationForest({0: 0}, {0: 1})
+    forest = EliminationForest({0: 0})
     with pytest.raises(ValueError, match="collides"):
         ColoredForest(forest, Signature(("Lvl1",), ()))
     with pytest.raises(ValueError, match="collides"):
@@ -247,6 +247,7 @@ def test_forest_file_examples():
     [
         ("r 0\np 0 1\n", "already placed"),
         ("p 0 1\np 1 0\n", "parent cycle"),
+        ("p 1 0\n", "vertex 0 has no 'r' or 'p' line"),
         ("r 0\nm 5 P\n", "unknown vertex"),
         ("r 0\nm 0 P\n", "not declared"),
         ("r 0\nm 0 Tf_g_1_2_1\n", "undeclared function"),
@@ -261,5 +262,5 @@ def test_forest_file_errors(text, frag):
 
 def test_forest_file_isolated_roots():
     y = parse_forest("r 3\nr 7\n")
-    assert y.forest.roots() == (3, 7)
+    assert y.forest.roots == (3, 7)
     assert y.height == 1

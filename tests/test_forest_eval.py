@@ -44,22 +44,9 @@ from gens import random_colored_forest, random_formula, random_quantifier_free, 
 
 
 def forest_of(parents, marks=None, n_marks=2):
-    """parents: dict v -> parent (v -> v for roots); levels derived."""
-    level = {}
-
-    def lvl(v, trail=()):
-        if v in level:
-            return level[v]
-        if parents[v] == v:
-            level[v] = 1
-        else:
-            level[v] = lvl(parents[v]) + 1
-        return level[v]
-
-    for v in parents:
-        lvl(v)
+    """parents: dict v -> parent (v -> v for roots)."""
     sig = Signature(tuple(f"P{i}" for i in range(n_marks)))
-    return ColoredForest(EliminationForest(dict(parents), level), sig, marks or {})
+    return ColoredForest(EliminationForest(dict(parents)), sig, marks or {})
 
 
 def branching_forest():
@@ -91,10 +78,7 @@ def enumerate_forest_shapes(max_n, max_height):
         for choice in itertools.product(*[range(i + 1) for i in range(n)]):
             # choice[i] == i means root, otherwise the parent index
             parent = {i: (i if choice[i] == i else choice[i]) for i in range(n)}
-            level = {}
-            for i in range(n):
-                level[i] = 1 if parent[i] == i else level[parent[i]] + 1
-            if max(level.values()) > max_height:
+            if EliminationForest(parent).height > max_height:
                 continue
             key = canon(parent, n)
             if key in seen:
@@ -109,8 +93,8 @@ def enumerate_forest_shapes(max_n, max_height):
 # ---------------------------------------------------------------------------
 
 
-def _iso_canon(idx, v):
-    return (idx.letter[v], tuple(sorted(_iso_canon(idx, c) for c in idx.children[v])))
+def _iso_canon(y, v):
+    return (y.letters[v], tuple(sorted(_iso_canon(y, c) for c in y.forest.children[v])))
 
 
 def test_exact_codes_match_subtree_isomorphism():
@@ -118,11 +102,10 @@ def test_exact_codes_match_subtree_isomorphism():
     for _ in range(60):
         y = random_colored_forest(rng, rng.randint(2, 11))
         table = SubtreeTypeTable(y)
-        idx = table.index
-        verts = y.forest.vertices()
+        verts = y.forest.vertices
         for u in verts:
             for v in verts:
-                expected = _iso_canon(idx, u) == _iso_canon(idx, v)
+                expected = _iso_canon(y, u) == _iso_canon(y, v)
                 assert (table.code[u] == table.code[v]) == expected
 
 
@@ -132,8 +115,8 @@ def test_truncated_codes_coarsen_exact_codes():
         y = random_colored_forest(rng, rng.randint(2, 12))
         exact = SubtreeTypeTable(y)
         coarse = SubtreeTypeTable(y, threshold=2, modulus=2)
-        for u in y.forest.vertices():
-            for v in y.forest.vertices():
+        for u in y.forest.vertices:
+            for v in y.forest.vertices:
                 if exact.code[u] == exact.code[v]:
                     assert coarse.code[u] == coarse.code[v]
 
@@ -164,15 +147,14 @@ def tree_shape_key(codes, vbar):
     """The closure of vbar as canonical nested tuples (code, labels,
     children), exact subtree codes as letters: the reference partition for
     typed_shape_key."""
-    idx = codes.index
-    forest = idx.forest
-    closure = set(vbar).union(*(forest.strict_ancestors(v) for v in vbar))
+    forest = codes.forest
+    closure = {u for v in vbar for u in forest.path[v]}
     labels_at = {}
     for i, v in enumerate(vbar, start=1):
         labels_at.setdefault(v, []).append(i)
 
     def build(v):
-        kids = sorted(build(c) for c in idx.children[v] if c in closure)
+        kids = sorted(build(c) for c in forest.children[v] if c in closure)
         return (codes.code[v], tuple(sorted(labels_at.get(v, ()))), tuple(kids))
 
     roots = [v for v in sorted(closure) if forest.parent[v] == v]
@@ -192,7 +174,7 @@ def test_typed_shape_key_partitions_tuples_like_the_closure_tree():
     for y in forests:
         codes = SubtreeTypeTable(y)
         for k in (1, 2, 3):
-            tuples = list(itertools.product(y.forest.vertices(), repeat=k))
+            tuples = list(itertools.product(y.forest.vertices, repeat=k))
             flat = [typed_shape_key(codes, t) for t in tuples]
             tree = [tree_shape_key(codes, t) for t in tuples]
             # equal partitions: the joint key has no more classes than either
@@ -245,7 +227,7 @@ def test_eval_forest_exhaustive_small_forests():
             fs = forest_structure(y, height=3)
             for phi, fv in pool:
                 if fv:
-                    vals = [{v: rng.choice(y.forest.vertices()) for v in fv} for _ in range(2)]
+                    vals = [{v: rng.choice(y.forest.vertices) for v in fv} for _ in range(2)]
                 else:
                     vals = [{}]
                 for nu in vals:
@@ -271,7 +253,7 @@ def test_eval_forest_random_large_forests():
             moduli=(2, 3, 4),
             max_funcs=2,
         )
-        nu = {v: rng.choice(y.forest.vertices()) for v in fv}
+        nu = {v: rng.choice(y.forest.vertices) for v in fv}
         fast = eval_forest(y, phi, nu)
         slow = eval_naive(forest_structure(y), phi, nu)
         assert fast == slow, f"seed {seed}"
@@ -315,7 +297,7 @@ def test_eval_forest_scales_linearly():
             parent[v] = u
             level[v] = level[u] + 1
         marks = {"P0": tuple(v for v in range(n) if rng.random() < 0.4)}
-        return ColoredForest(EliminationForest(parent, level), sig1, marks)
+        return ColoredForest(EliminationForest(parent), sig1, marks)
 
     def work(n):
         y = single_tree(random.Random(23), n)
@@ -380,7 +362,7 @@ def test_forest_tables_count_code_paths_by_brute_force():
         tables = ForestTables(y)
         code, parent = tables.codes.code, y.forest.parent
         down, full = Counter(), Counter()
-        for w in y.forest.vertices():
+        for w in y.forest.vertices:
             below = (code[w],)  # codes from just under an ancestor down to w
             v = w
             while parent[v] != v:
@@ -390,12 +372,26 @@ def test_forest_tables_count_code_paths_by_brute_force():
             full[below] += 1
         assert tables.down == down
         assert tables.n_table == full
-        for v in y.forest.vertices():
+        for v in y.forest.vertices:
             assert tables.paths_from.get(v, []) == sorted(q for (u, q) in down if u == v)
-            assert tables.codes.letters[code[v]] == tables.index.letter[v]
+            assert tables.codes.letters[code[v]] == y.letters[v]
         for t, qs in tables.paths_ending.items():
             assert qs == sorted(q for q in full if q[-1] == t)
         assert sum(map(len, tables.paths_ending.values())) == len(full)
+
+
+def test_forest_tables_build_scales_linearly():
+    """Trace events of building a base's forest from its parent map, its
+    marks and its census tables, at n and 4n vertices of height 3: deriving
+    levels, children or root paths beyond a constant per vertex fails."""
+
+    def work(n):
+        y = random_colored_forest(random.Random(n), n, height=3)
+        parent, marks = dict(y.forest.parent), dict(y.marks)
+        return trace_events(lambda: ForestTables(ColoredForest(EliminationForest(parent), y.signature, marks)))
+
+    small, big = work(500), work(2000)
+    assert big <= 4.5 * small, (small, big)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +412,7 @@ def test_engine_residue_matches_witness_count():
         counter = forest_counter(y, sigma, b, "w")
         fs = forest_structure(y)
         for _ in range(3):
-            nu = {v: rng.choice(y.forest.vertices()) for v in fv}
+            nu = {v: rng.choice(y.forest.vertices) for v in fv}
             assert counter.residue(nu) == count_witnesses(fs, sigma, "w", nu) % b
 
 
@@ -442,7 +438,7 @@ def test_counter_memoizes_residues_by_argument_shape():
     assert len(calls) == seen  # an equal key makes no acceptance call
     counter.residue({"v1": 4, "v2": 5})
     assert len(calls) > seen  # a new shape runs the census
-    for vbar in itertools.product(y.forest.vertices(), repeat=2):
+    for vbar in itertools.product(y.forest.vertices, repeat=2):
         nu = dict(zip(("v1", "v2"), vbar))
         assert counter.residue(nu) == forest_counter(y, sigma, 3, "w").residue(nu), vbar
 
@@ -474,7 +470,7 @@ def test_guards_settled_from_codes_equal_guarded_acceptance():
         )
         plain = forest_counter(y, sigma, b, "w")
         assert plain.xvars == xvars
-        for vbar in itertools.product(y.forest.vertices(), repeat=len(xvars)):
+        for vbar in itertools.product(y.forest.vertices, repeat=len(xvars)):
             nu = dict(zip(xvars, vbar))
             assert guarded.residue(nu) == plain.residue(nu), (guards, vbar)
         for c in range(b):
@@ -513,7 +509,7 @@ def test_eliminate_extensional_contract():
         phi = ModExists(c, b, "w", sigma)
         fs = forest_structure(y)
         fs_star = forest_structure(y_star)
-        for vbar in itertools.product(y.forest.vertices(), repeat=k):
+        for vbar in itertools.product(y.forest.vertices, repeat=k):
             nu = dict(zip(fv, vbar))
             assert eval_naive(fs, phi, nu) == eval_naive(fs_star, zeta, nu), (
                 f"trial {trial}, vbar {vbar}"
@@ -581,6 +577,6 @@ def test_case_counters_reachable_through_engine():
         fsig = forest_signature(y.signature, y.forest.height)
         sigma = random_quantifier_free(rng, fsig, ["v1", "w"], depth=1, max_funcs=1)
         counter = forest_counter(y, sigma, 3, "w")
-        for v in y.forest.vertices():
+        for v in y.forest.vertices:
             counter.residue({"v1": v})
     assert CASE_COUNTER["A"] > 0 and CASE_COUNTER["B"] > 0 and CASE_COUNTER["C"] > 0

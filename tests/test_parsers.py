@@ -114,6 +114,7 @@ def test_errors_name_their_line_through_comments(parse, text, lineno, msg):
         (parse_graph, "n 1\nv 0 g\nf g 0 0\n"),  # a mark and a function named g
         (parse_forest, "rel P\nfn P\nr 0\n"),
         (parse_forest, "p 0 1\np 1 0\n"),  # a parent cycle
+        (parse_forest, "p 1 0\n"),  # a parent with no line of its own
         (parse_matrix, "p 3\n# no n\n"),
     ],
 )

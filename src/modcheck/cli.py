@@ -115,24 +115,32 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _parse_assignment(text: Optional[str]) -> Dict[str, int]:
-    if not text:
-        return {}
-    out: Dict[str, int] = {}
-    for item in text.split(","):
+def _parse_pairs(text: Optional[str], what: str, form: str) -> Dict[str, str]:
+    """The ``NAME=value`` items of a comma-separated option, each name and
+    value stripped; an item without '=', an empty name or a repeated one
+    raises ValueError."""
+    out: Dict[str, str] = {}
+    for item in (text or "").split(","):
         item = item.strip()
         if not item:
             continue
-        if "=" not in item:
-            raise ValueError(f"assignment {item!r} is not of the form var=vertex")
-        var, _, value = item.partition("=")
-        var = var.strip()
-        if not var or var in out:
-            raise ValueError(f"bad or repeated variable in assignment {item!r}")
+        name, eq, value = item.partition("=")
+        name = name.strip()
+        if not eq:
+            raise ValueError(f"{what} {item!r} is not of the form {form}")
+        if not name or name in out:
+            raise ValueError(f"bad or repeated name in {what} {item!r}")
+        out[name] = value.strip()
+    return out
+
+
+def _parse_assignment(text: Optional[str]) -> Dict[str, int]:
+    out: Dict[str, int] = {}
+    for var, value in _parse_pairs(text, "assignment", "var=vertex").items():
         try:
             out[var] = int(value)
         except ValueError:
-            raise ValueError(f"assignment {item!r} needs an integer vertex") from None
+            raise ValueError(f"assignment '{var}={value}' needs an integer vertex") from None
     return out
 
 
@@ -275,20 +283,8 @@ def _cmd_forest(args, timings: _Timings) -> int:
 
 
 def _parse_inputs(raw: Optional[str]):
-    inputs = {}
-    if not raw:
-        return inputs
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ValueError(f"input {item!r} is not of the form NAME=path")
-        name, _, path = item.partition("=")
-        if name in inputs:
-            raise ValueError(f"input {name!r} given twice")
-        inputs[name] = parse_matrix(_read(path))
-    return inputs
+    pairs = _parse_pairs(raw, "input", "NAME=path")
+    return {name: parse_matrix(_read(path)) for name, path in pairs.items()}
 
 
 def _cmd_matrix(args, timings: _Timings) -> int:

@@ -5,13 +5,11 @@ least p colors or has some color on exactly one vertex.  Colorings whose every
 connected subgraph has a uniquely colored vertex ("fully centered") are
 p-centered for all p; depth levels of an elimination forest are such a
 coloring, which is how the exact backend produces validity.  The heuristic
-backend colors greedily so that no two vertices within a radius r share a
-color.  With r >= p - 1 that is p-centered by construction: a connected
-subgraph with p or more vertices holds a connected p-vertex subtree, whose
-vertices lie pairwise within distance p - 1 and so get p distinct colors,
-and a smaller one has all its vertices pairwise within distance p - 2, so
-each of its colors is unique.  Only the smaller radii it tries first are
-checked by the validator.
+backend colors greedily so that no two vertices within distance
+max(2, p - 1) share a color, which is p-centered by construction (the proof
+is in ``compute_p_centered``).  Neither backend calls
+``validate_p_centered``: it checks colorings for ``modcheck color`` and the
+tests.
 
 Every forest here comes from one of two peels, and both return a parent
 map: ``EliminationForest`` derives levels, children and root paths from it.
@@ -50,12 +48,6 @@ class CenteredColoring:
 
     def n_colors(self) -> int:
         return len(set(self.colors.values()))
-
-    def classes(self) -> Dict[int, Tuple[int, ...]]:
-        out: Dict[int, List[int]] = {}
-        for v in sorted(self.colors):
-            out.setdefault(self.colors[v], []).append(v)
-        return {c: tuple(vs) for c, vs in sorted(out.items())}
 
 
 @dataclass
@@ -424,7 +416,7 @@ def validate_p_centered(g: Graph, coloring: CenteredColoring, p: Optional[int] =
 # ---------------------------------------------------------------------------
 
 
-def _greedy_distance_coloring(g: Graph, radius: int) -> CenteredColoring:
+def _greedy_distance_coloring(g: Graph, radius: int) -> Dict[int, int]:
     """Greedy along a degeneracy order, refusing color reuse within a radius."""
     colors: Dict[int, int] = {}
     for v in reversed(degeneracy_order(g.adj)[0]):
@@ -445,7 +437,7 @@ def _greedy_distance_coloring(g: Graph, radius: int) -> CenteredColoring:
         while c in forbidden:
             c += 1
         colors[v] = c
-    return CenteredColoring(0, colors)
+    return colors
 
 
 def compute_p_centered(g: Graph, p: int, backend: str = "heuristic") -> CenteredColoring:
@@ -453,14 +445,12 @@ def compute_p_centered(g: Graph, p: int, backend: str = "heuristic") -> Centered
 
     exact backend: depth levels of a minimum-height elimination forest
     (graphs of at most ``EXACT_SIZE_CAP`` vertices).
-    heuristic backend: greedy distance colorings of radius 2 and then 3,
-    each kept if the validator accepts it, tried only while the radius is
-    below p - 1; otherwise the distance coloring of radius max(2, p - 1),
-    returned without validation because it is p-centered by construction.
-    Take a connected subgraph.  With p or more vertices it contains a
-    connected p-vertex subtree, whose vertices lie pairwise within distance
-    p - 1 and so all get distinct colors.  With fewer vertices, all of them
-    lie pairwise within distance p - 2, so every color on it is unique.
+    heuristic backend: the greedy distance coloring of radius max(2, p - 1),
+    which is p-centered by construction.  Take a connected subgraph.  With p
+    or more vertices it contains a connected p-vertex subtree, whose vertices
+    lie pairwise within distance p - 1 and so all get distinct colors.  With
+    fewer vertices, all of them lie pairwise within distance p - 2, so every
+    color on it is unique.
     """
     if p < 1:
         raise ValueError("p must be positive")
@@ -470,14 +460,7 @@ def compute_p_centered(g: Graph, p: int, backend: str = "heuristic") -> Centered
         return coloring_from_forest(optimal_elimination_forest(g), p)
     if backend != "heuristic":
         raise ValueError(f"unknown backend {backend!r}")
-    centered_radius = max(2, p - 1)
-    for radius in (2, 3):
-        if radius >= centered_radius:
-            break
-        cand = CenteredColoring(p, _greedy_distance_coloring(g, radius).colors)
-        if validate_p_centered(g, cand, p) is None:
-            return cand
-    return CenteredColoring(p, _greedy_distance_coloring(g, centered_radius).colors)
+    return CenteredColoring(p, _greedy_distance_coloring(g, max(2, p - 1)))
 
 
 def forest_from_centered(m: GuidedStructure, coloring: CenteredColoring) -> EliminationForest:

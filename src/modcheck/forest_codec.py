@@ -23,7 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .coloring import EliminationForest
 from .logic import (
@@ -74,6 +74,15 @@ def _check_reserved(names: Iterable[str]) -> None:
             raise ValueError(f"source symbol {name!r} collides with the forest vocabulary")
 
 
+def _check_mark_levels(kind: str, j: int, i: int, vs: Iterable[int], level: Dict[int, int]) -> None:
+    """A codec mark (j, i) sits on level-i vertices and points up to level j."""
+    if not 1 <= j < i:
+        raise ValueError(f"bad {kind} mark levels ({j},{i})")
+    for v in vs:
+        if level.get(v) != i:
+            raise ValueError(f"{kind} mark ({j},{i}) on vertex {v} not at level {i}")
+
+
 @dataclass
 class ColoredForest:
     """An elimination forest plus the codec's mark tables.
@@ -108,12 +117,8 @@ class ColoredForest:
         lvl = self.forest.level
         emarks = {}
         for (j, i), vs in sorted(self.edge_marks.items()):
-            if not 1 <= j < i:
-                raise ValueError(f"bad edge mark levels ({j},{i})")
             vs = tuple(sorted(set(vs)))
-            for v in vs:
-                if v not in verts or lvl[v] != i:
-                    raise ValueError(f"edge mark ({j},{i}) on vertex {v} not at level {i}")
+            _check_mark_levels("edge", j, i, vs, lvl)
             if vs:
                 emarks[(j, i)] = vs
         self.edge_marks = emarks
@@ -121,12 +126,10 @@ class ColoredForest:
         for (fname, j, i, eps), vs in sorted(self.func_marks.items()):
             if not self.signature.has_function(fname):
                 raise ValueError(f"function mark for unknown function {fname!r}")
-            if not 1 <= j < i or eps not in (0, 1):
+            if eps not in (0, 1):
                 raise ValueError(f"bad function mark key ({fname},{j},{i},{eps})")
             vs = tuple(sorted(set(vs)))
-            for v in vs:
-                if v not in verts or lvl[v] != i:
-                    raise ValueError(f"function mark on vertex {v} not at level {i}")
+            _check_mark_levels("function", j, i, vs, lvl)
             if vs:
                 fmarks[(fname, j, i, eps)] = vs
         self.func_marks = fmarks
@@ -437,34 +440,46 @@ def pullback_IS(phi: Formula, sig: Signature, height: int) -> Formula:
 # ---------------------------------------------------------------------------
 
 
+def _line_check(lineno: int, check: Callable[..., None], *args) -> None:
+    """Run one of ``ColoredForest``'s checks on the fields of one line, so
+    that its error names the line."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise GraphFormatError(lineno, str(exc)) from None
+
+
 def parse_forest(text: str) -> ColoredForest:
     rels: List[str] = []
     fns: List[str] = []
-    roots: Dict[int, None] = {}  # an ordered set
-    links: Dict[int, int] = {}
+    parent: Dict[int, int] = {}
     mark_lines: List[Tuple[int, int, str]] = []
     for lineno, toks in _read_lines(text):
         head, rest = toks[0], toks[1:]
         if head == "rel":
             if len(rest) != 1:
                 raise GraphFormatError(lineno, "'rel' takes one name")
+            _line_check(lineno, _check_reserved, rest)
             rels.append(rest[0])
         elif head == "fn":
             if len(rest) != 1:
                 raise GraphFormatError(lineno, "'fn' takes one name")
+            _line_check(lineno, _check_reserved, rest)
             fns.append(rest[0])
         elif head == "r":
             if len(rest) != 1:
                 raise GraphFormatError(lineno, "'r' takes one vertex id")
             (r,) = _read_ints(rest, lineno)
-            roots[r] = None
+            if r in parent:
+                raise GraphFormatError(lineno, f"vertex {r} already placed")
+            parent[r] = r
         elif head == "p":
             if len(rest) != 2:
                 raise GraphFormatError(lineno, "'p' takes child and parent ids")
             c, p = _read_ints(rest, lineno)
-            if c in links or c in roots:
+            if c in parent:
                 raise GraphFormatError(lineno, f"vertex {c} already placed")
-            links[c] = p
+            parent[c] = p
         elif head == "m":
             if len(rest) < 2:
                 raise GraphFormatError(lineno, "'m' takes a vertex id and marks")
@@ -474,11 +489,6 @@ def parse_forest(text: str) -> ColoredForest:
         else:
             raise GraphFormatError(lineno, f"unknown directive {head!r}")
 
-    parent = {r: r for r in roots}
-    for c, p in links.items():
-        if c in parent:
-            raise GraphFormatError(1, f"vertex {c} is both root and child")
-        parent[c] = p
     try:
         forest = EliminationForest(parent)
     except ValueError as exc:  # a parent cycle or a missing parent
@@ -497,27 +507,27 @@ def parse_forest(text: str) -> ColoredForest:
         em = _EDGE_MARK_RE.match(mk)
         fm = _FUNC_MARK_RE.match(mk)
         if em:
-            edge_marks.setdefault((int(em.group(1)), int(em.group(2))), []).append(v)
+            j, i = int(em.group(1)), int(em.group(2))
+            _line_check(lineno, _check_mark_levels, "edge", j, i, (v,), forest.level)
+            edge_marks.setdefault((j, i), []).append(v)
         elif fm:
             fname = fm.group(1)
             if fname not in fns:
                 raise GraphFormatError(lineno, f"mark {mk!r} names undeclared function {fname!r}")
             key = (fname, int(fm.group(2)), int(fm.group(3)), int(fm.group(4)))
+            _line_check(lineno, _check_mark_levels, "function", key[1], key[2], (v,), forest.level)
             func_marks.setdefault(key, []).append(v)
         else:
             if mk not in marks:
                 raise GraphFormatError(lineno, f"mark {mk!r} not declared by a 'rel' line")
             marks[mk].append(v)
-    try:
-        return ColoredForest(
-            forest,
-            sig,
-            {k: tuple(vs) for k, vs in marks.items()},
-            {k: tuple(vs) for k, vs in edge_marks.items()},
-            {k: tuple(vs) for k, vs in func_marks.items()},
-        )
-    except ValueError as exc:
-        raise GraphFormatError(1, str(exc)) from exc
+    return ColoredForest(
+        forest,
+        sig,
+        {k: tuple(vs) for k, vs in marks.items()},
+        {k: tuple(vs) for k, vs in edge_marks.items()},
+        {k: tuple(vs) for k, vs in func_marks.items()},
+    )
 
 
 def serialize_forest(y: ColoredForest) -> str:

@@ -419,6 +419,16 @@ def test_matrix_expression_to_stdout(capsys, mats):
     assert payload["nnz"] == result.nnz
 
 
+def test_matrix_inputs_strip_names_and_paths(capsys, mats):
+    a, _ = mats
+    expected = run_json(capsys, "matrix", "--expr", "A", "-i", f"A={a}")[:2]
+    for item in (f"A ={a}", f"A= {a}", f" A = {a} "):
+        assert run_json(capsys, "matrix", "--expr", "A", "-i", item)[:2] == expected
+    code, out, err = run_cli(capsys, "matrix", "--expr", "A", "-i", f"={a}")
+    assert code == 1 and not out
+    assert "bad or repeated name in input" in err
+
+
 def test_matrix_entry_query(capsys, mats):
     a, _ = mats
     code, payload, _ = run_json(

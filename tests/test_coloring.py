@@ -262,22 +262,28 @@ def test_heuristic_result_validates(p):
         assert validate_p_centered(g, cand, p) is None
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_heuristic_keeps_the_first_validated_radius(p):
-    # for p <= 4 the chosen coloring is the first of radius 2 and 3 that
-    # validates, else radius 3
+@pytest.mark.parametrize("p", range(1, 8))
+def test_heuristic_is_the_distance_coloring_of_radius_p_minus_1(p):
     rng = random.Random(200 + p)
     for i in range(100):
         n = rng.randint(2, 30)
         g = random_max_degree_graph(rng, n) if i % 2 else random_planarish_graph(rng, n)
-        colorings = [_greedy_distance_coloring(g, r).colors for r in (2, 3)]
-        valid = [c for c in colorings if validate_p_centered(g, CenteredColoring(p, c), p) is None]
-        assert compute_p_centered(g, p).colors == (valid or colorings[1:])[0]
+        assert compute_p_centered(g, p).colors == _greedy_distance_coloring(g, max(2, p - 1))
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_heuristic_does_no_work_beyond_its_distance_coloring(q):
+    # a validated attempt at a smaller radius costs C(colors, q - 1) peels on
+    # top of the coloring that is returned
+    for g in (random_planarish_graph(random.Random(5), 12), random_max_degree_graph(random.Random(5), 30)):
+        events = trace_events(compute_p_centered, g, q)
+        coloring = trace_events(_greedy_distance_coloring, g, max(2, q - 1))
+        assert events <= 1.1 * coloring, (events, coloring)
 
 
 def test_heuristic_scales_linearly_at_p5():
-    # radius p - 1 = 4 needs no validator; validating it, or a radius-6
-    # coloring, costs C(colors, 4) times n with colors growing with n
+    # the radius-4 coloring needs no validator; validating a coloring costs
+    # C(colors, 4) times n with colors growing with n
     events = [
         trace_events(compute_p_centered, random_max_degree_graph(random.Random(7), n), 5)
         for n in (100, 400)

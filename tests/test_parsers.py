@@ -90,8 +90,12 @@ def test_comments_and_blank_lines_change_no_result():
         (parse_graph, "n 2\ne 0 1\ne 1 0\n", 3, "parallel edge"),
         (parse_graph, "n 2\nf g 0 x\n", 2, "expected integer, got 'x'"),
         (parse_forest, "r 0\np 0 1\n", 2, "already placed"),
+        (parse_forest, "r 0\np 1 0\nr 1\n", 3, "vertex 1 already placed"),
         (parse_forest, "r 0\np 1 zero\n", 2, "expected integer, got 'zero'"),
         (parse_forest, "rel P\nr 0\nm 0 Q\n", 3, "not declared"),
+        (parse_forest, "r 0\np 1 0\n\n# c\nm 0 TE_1_2\n", 5, "edge mark (1,2) on vertex 0 not at level 2"),
+        (parse_forest, "r 0\np 1 0\nm 1 TE_2_1\n", 3, "bad edge mark levels (2,1)"),
+        (parse_forest, "r 0\nrel Lvl1\n", 2, "collides with the forest vocabulary"),
         (parse_steps, "I 0\nS 1\nS 2\n", 3, "second deletion"),
         (parse_steps, "I 0\nI one\n", 2, "integers"),
         (parse_steps, "I 0\nX 1\n", 2, "expected an I or S line, got 'X 1'"),

@@ -238,18 +238,20 @@ def _cmd_color(args, timings: _Timings) -> int:
 
 def _cmd_forest(args, timings: _Timings) -> int:
     action = args.action
-    if action == "encode":
+    if action in ("encode", "roundtrip"):
         with timings.time("parse"):
             m = parse_graph(_read(args.graph))
             validate_guided(m)
-        with timings.time("encode"):
-            build = (
-                optimal_elimination_forest if args.exact else heuristic_elimination_forest
-            )
+        with timings.time(action):
+            build = optimal_elimination_forest if args.exact else heuristic_elimination_forest
             forest = build(gaifman(m))
             text = serialize_forest(encode_IY(m, forest))
-        _emit({"forest": text, "height": forest.height}, args.format, text.rstrip("\n"))
-        return 0
+            ok = action == "encode" or decode_IS(parse_forest(text)) == m
+        if action == "encode":
+            _emit({"forest": text, "height": forest.height}, args.format, text.rstrip("\n"))
+            return 0
+        _emit({"roundtrip": ok}, args.format, "ok" if ok else "mismatch")
+        return 0 if ok else 1
     if action == "decode":
         with timings.time("parse"):
             y = parse_forest(_read(args.forest))
@@ -257,18 +259,6 @@ def _cmd_forest(args, timings: _Timings) -> int:
             text = serialize_graph(decode_IS(y))
         _emit({"graph": text}, args.format, text.rstrip("\n"))
         return 0
-    if action == "roundtrip":
-        with timings.time("roundtrip"):
-            m = parse_graph(_read(args.graph))
-            validate_guided(m)
-            build = (
-                optimal_elimination_forest if args.exact else heuristic_elimination_forest
-            )
-            forest = build(gaifman(m))
-            back = decode_IS(parse_forest(serialize_forest(encode_IY(m, forest))))
-            ok = back == m
-        _emit({"roundtrip": ok}, args.format, "ok" if ok else "mismatch")
-        return 0 if ok else 1
     if action == "eval":
         with timings.time("parse"):
             y = parse_forest(_read(args.forest))

@@ -18,7 +18,7 @@ rest below it: a root of minimum tree-depth for the exact forest, a
 separator for the heuristic one.  ``_centered_peel`` removes each
 component's uniquely colored vertex of smallest (color, id); the validator
 runs it on unions of color classes, and ``forest_from_centered`` turns its
-removals into a forest.
+removals on a guided structure's own adjacency ``_adj`` into a forest.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .structures import Graph, GuidedStructure, degeneracy_order, gaifman
+from .structures import Graph, GuidedStructure, degeneracy_order
 
 
 class NotCenteredError(ValueError):
@@ -147,8 +147,10 @@ class EliminationForest:
 
 
 class _TreedepthEngine:
-    def __init__(self, g: Graph):
-        self.adj = {v: frozenset(g.adj[v]) for v in g.vertices}
+    """Tree-depth search and peels over an adjacency, read in place."""
+
+    def __init__(self, adj: Mapping[int, Collection[int]]):
+        self.adj = adj
         self.memo: Dict[FrozenSet[int], int] = {}
 
     def components(self, vs: FrozenSet[int]) -> List[FrozenSet[int]]:
@@ -162,7 +164,7 @@ class _TreedepthEngine:
             seen.add(s)
             while stack:
                 x = stack.pop()
-                for y in self.adj[x] & vs:
+                for y in vs.intersection(self.adj[x]):
                     if y not in seen:
                         seen.add(y)
                         comp.add(y)
@@ -189,7 +191,7 @@ class _TreedepthEngine:
         while frontier:
             nxt = []
             for x in frontier:
-                for y in self.adj[x] & vs:
+                for y in vs.intersection(self.adj[x]):
                     if y not in seen:
                         seen[y] = seen[x] + 1
                         if (seen[y], -y) > (fdist, -far):
@@ -221,7 +223,7 @@ class _TreedepthEngine:
         # middle of a long shortest path is a decent separator
         mid = self._bfs_middle(vs, far)
         candidates.add(mid)
-        by_deg = sorted(vs, key=lambda v: (-len(self.adj[v] & vs), v))
+        by_deg = sorted(vs, key=lambda v: (-len(vs.intersection(self.adj[v])), v))
         candidates.update(by_deg[:4])
         best_v, best_key = None, None
         for v in sorted(candidates):
@@ -241,7 +243,7 @@ class _TreedepthEngine:
         while frontier:
             nxt = []
             for x in frontier:
-                for y in sorted(self.adj[x] & vs):
+                for y in sorted(vs.intersection(self.adj[x])):
                     if y not in seen:
                         seen[y] = seen[x] + 1
                         parent[y] = x
@@ -275,7 +277,7 @@ class _TreedepthEngine:
             self.memo[vs] = ub
             return ub
         best = ub
-        order = sorted(vs, key=lambda v: (-len(self.adj[v] & vs), v))
+        order = sorted(vs, key=lambda v: (-len(vs.intersection(self.adj[v])), v))
         for v in order:
             if best == lb:
                 break
@@ -313,14 +315,14 @@ def treedepth_exact(g: Graph) -> int:
     _require_exact_size(g)
     if len(g) == 0:
         return 0
-    return _TreedepthEngine(g).treedepth(frozenset(g.vertices))
+    return _TreedepthEngine(g.adj).treedepth(frozenset(g.vertices))
 
 
 def _peel_forest(g: Graph, choose: Callable[[_TreedepthEngine, FrozenSet[int]], int]) -> EliminationForest:
     """Elimination forest by repeated root choice: ``choose`` picks the root
     of every component with two or more vertices, and the rest of the
     component is peeled below it."""
-    eng = _TreedepthEngine(g)
+    eng = _TreedepthEngine(g.adj)
     parent: Dict[int, int] = {}
 
     def peel(vs: FrozenSet[int], par: Optional[int]) -> None:
@@ -396,7 +398,7 @@ def validate_p_centered(g: Graph, coloring: CenteredColoring, p: Optional[int] =
     for v in g.vertices:
         if v not in coloring.colors:
             raise ValueError(f"vertex {v} is uncolored")
-    eng = _TreedepthEngine(g)
+    eng = _TreedepthEngine(g.adj)
     palette = sorted(set(coloring.colors[v] for v in g.vertices))
     classes: Dict[int, List[int]] = {c: [] for c in palette}
     for v in sorted(g.vertices):
@@ -464,8 +466,10 @@ def compute_p_centered(g: Graph, p: int, backend: str = "heuristic") -> Centered
 
 
 def forest_from_centered(m: GuidedStructure, coloring: CenteredColoring) -> EliminationForest:
-    """Elimination forest of the Gaifman graph from a centered coloring.
+    """Elimination forest of a guided structure from a centered coloring.
 
+    The peel reads ``m._adj``, the Gaifman graph of a guided structure (on
+    one that is not, ``encode_IY`` refuses a function arc off the forest).
     Stage by stage each component must hold a uniquely colored vertex; that
     vertex (ties: smallest color, then smallest id) becomes the next root.
     Raises NotCenteredError when some component has no unique color.  The
@@ -473,8 +477,7 @@ def forest_from_centered(m: GuidedStructure, coloring: CenteredColoring) -> Elim
     when its first endpoint is removed, so the other endpoint is peeled
     below it and every edge joins an ancestor to a descendant.
     """
-    g = gaifman(m)
-    violation, parent = _centered_peel(_TreedepthEngine(g), frozenset(g.vertices), coloring.colors)
+    violation, parent = _centered_peel(_TreedepthEngine(m._adj), frozenset(m.domain), coloring.colors)
     if violation is not None:
         raise NotCenteredError(violation)
     return EliminationForest(parent)

@@ -23,7 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .coloring import EliminationForest
 from .logic import (
@@ -92,6 +92,12 @@ class ColoredForest:
     func_marks[(f, j, i, eps)]: see module docstring; the mark always sits on
     the deeper (level-i) endpoint of the arc.
     letters: the three tables inverted per vertex, built when first read.
+
+    Use the constructor, which checks and normalizes, for tables from outside
+    the package, and ``_assemble``, which checks nothing, for tables that
+    hold its checks and are in its normal form (one sorted tuple per
+    relation in signature order, codec tables sorted by key, each a nonempty
+    sorted tuple), as the package's own builders make them.
     """
 
     forest: EliminationForest
@@ -102,8 +108,7 @@ class ColoredForest:
 
     def __post_init__(self):
         verts = set(self.forest.parent)
-        _check_reserved(self.signature.unary_relations)
-        _check_reserved(self.signature.unary_functions)
+        _check_reserved(self.signature.unary_relations + self.signature.unary_functions)
         norm_marks = {}
         for name in self.signature.unary_relations:
             vs = tuple(sorted(set(self.marks.get(name, ()))))
@@ -133,6 +138,13 @@ class ColoredForest:
             if vs:
                 fmarks[(fname, j, i, eps)] = vs
         self.func_marks = fmarks
+
+    @classmethod
+    def _assemble(cls, forest, signature, marks, edge_marks, func_marks) -> "ColoredForest":
+        out = cls.__new__(cls)
+        out.forest, out.signature, out.marks = forest, signature, marks
+        out.edge_marks, out.func_marks = edge_marks, func_marks
+        return out
 
     @property
     def height(self) -> int:
@@ -172,8 +184,10 @@ def encode_IY(m: GuidedStructure, forest: EliminationForest) -> ColoredForest:
     """Re-present a guided structure as marks on an elimination forest.
 
     The forest must span exactly the domain, and every Gaifman edge of the
-    structure must join an ancestor to a descendant.
+    structure must join an ancestor to a descendant.  Its names are checked
+    against the forest vocabulary: all other checks hold by construction.
     """
+    _check_reserved(m.signature.unary_relations + m.signature.unary_functions)
     if set(forest.parent) != set(m.domain):
         raise ValueError("forest vertex set differs from the structure's domain")
     lvl = forest.level
@@ -199,12 +213,13 @@ def encode_IY(m: GuidedStructure, forest: EliminationForest) -> ColoredForest:
                 func_marks.setdefault((fname, lvl[v], lvl[w], 0), []).append(w)
             else:
                 raise ValueError(f"function arc {fname}({v})={w} is not ancestor-descendant in the forest")
-    return ColoredForest(
+    # a vertex has one ancestor per level, so no table lists a vertex twice
+    return ColoredForest._assemble(
         forest,
         m.signature,
-        dict(m.marks),
-        {k: tuple(vs) for k, vs in edge_marks.items()},
-        {k: tuple(vs) for k, vs in func_marks.items()},
+        m.marks,
+        {k: tuple(sorted(vs)) for k, vs in sorted(edge_marks.items())},
+        {k: tuple(sorted(vs)) for k, vs in sorted(func_marks.items())},
     )
 
 
@@ -450,22 +465,20 @@ def _line_check(lineno: int, check: Callable[..., None], *args) -> None:
 
 
 def parse_forest(text: str) -> ColoredForest:
-    rels: List[str] = []
-    fns: List[str] = []
+    """Read a forest file, checking each line as it comes, and assemble the
+    colored forest from the checked lines without a second pass of checks."""
+    symbols: Dict[str, str] = {}  # name -> 'rel' or 'fn', in order of declaration
     parent: Dict[int, int] = {}
     mark_lines: List[Tuple[int, int, str]] = []
     for lineno, toks in _read_lines(text):
         head, rest = toks[0], toks[1:]
-        if head == "rel":
+        if head in ("rel", "fn"):
             if len(rest) != 1:
-                raise GraphFormatError(lineno, "'rel' takes one name")
+                raise GraphFormatError(lineno, f"{head!r} takes one name")
             _line_check(lineno, _check_reserved, rest)
-            rels.append(rest[0])
-        elif head == "fn":
-            if len(rest) != 1:
-                raise GraphFormatError(lineno, "'fn' takes one name")
-            _line_check(lineno, _check_reserved, rest)
-            fns.append(rest[0])
+            if rest[0] in symbols:
+                raise GraphFormatError(lineno, f"symbol {rest[0]!r} already declared")
+            symbols[rest[0]] = head
         elif head == "r":
             if len(rest) != 1:
                 raise GraphFormatError(lineno, "'r' takes one vertex id")
@@ -494,13 +507,10 @@ def parse_forest(text: str) -> ColoredForest:
     except ValueError as exc:  # a parent cycle or a missing parent
         raise GraphFormatError(1, str(exc)) from None
 
-    try:
-        sig = Signature(tuple(rels), tuple(fns))
-    except ValueError as exc:  # a repeated name
-        raise GraphFormatError(1, str(exc)) from None
-    marks: Dict[str, List[int]] = {name: [] for name in rels}
-    edge_marks: Dict[Tuple[int, int], List[int]] = {}
-    func_marks: Dict[Tuple[str, int, int, int], List[int]] = {}
+    rels = tuple(name for name, kind in symbols.items() if kind == "rel")
+    marks: Dict[str, Set[int]] = {name: set() for name in rels}
+    edge_marks: Dict[Tuple[int, int], Set[int]] = {}
+    func_marks: Dict[Tuple[str, int, int, int], Set[int]] = {}
     for lineno, v, mk in mark_lines:
         if v not in parent:
             raise GraphFormatError(lineno, f"mark on unknown vertex {v}")
@@ -509,24 +519,24 @@ def parse_forest(text: str) -> ColoredForest:
         if em:
             j, i = int(em.group(1)), int(em.group(2))
             _line_check(lineno, _check_mark_levels, "edge", j, i, (v,), forest.level)
-            edge_marks.setdefault((j, i), []).append(v)
+            edge_marks.setdefault((j, i), set()).add(v)
         elif fm:
             fname = fm.group(1)
-            if fname not in fns:
+            if symbols.get(fname) != "fn":
                 raise GraphFormatError(lineno, f"mark {mk!r} names undeclared function {fname!r}")
             key = (fname, int(fm.group(2)), int(fm.group(3)), int(fm.group(4)))
             _line_check(lineno, _check_mark_levels, "function", key[1], key[2], (v,), forest.level)
-            func_marks.setdefault(key, []).append(v)
+            func_marks.setdefault(key, set()).add(v)
         else:
             if mk not in marks:
                 raise GraphFormatError(lineno, f"mark {mk!r} not declared by a 'rel' line")
-            marks[mk].append(v)
-    return ColoredForest(
+            marks[mk].add(v)
+    return ColoredForest._assemble(
         forest,
-        sig,
-        {k: tuple(vs) for k, vs in marks.items()},
-        {k: tuple(vs) for k, vs in edge_marks.items()},
-        {k: tuple(vs) for k, vs in func_marks.items()},
+        Signature(rels, tuple(name for name, kind in symbols.items() if kind == "fn")),
+        {name: tuple(sorted(vs)) for name, vs in marks.items()},
+        {k: tuple(sorted(vs)) for k, vs in sorted(edge_marks.items())},
+        {k: tuple(sorted(vs)) for k, vs in sorted(func_marks.items())},
     )
 
 

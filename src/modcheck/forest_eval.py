@@ -45,7 +45,7 @@ from collections import Counter
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .coloring import EliminationForest
-from .forest_codec import ColoredForest, _pi_term, forest_structure, level_mark_name
+from .forest_codec import ColoredForest, _check_reserved, _pi_term, forest_structure, level_mark_name
 from .logic import (
     EqAtom,
     Formula,
@@ -187,9 +187,11 @@ def _prune(y: ColoredForest, table: SubtreeTypeTable, anchors: Sequence[int]) ->
     emit_children(forest.roots, None)
 
     def remap(mark_table: dict) -> dict:
-        return {k: tuple(nid for v in vs for nid in copies.get(v, ())) for k, vs in mark_table.items()}
+        return {k: tuple(sorted(n for v in vs for n in copies.get(v, ()))) for k, vs in mark_table.items()}
 
-    pruned = ColoredForest(
+    # copies keep their originals' levels, and a vertex left out has a kept
+    # twin of equal code and letter: y's checks hold, and no table empties
+    pruned = ColoredForest._assemble(
         EliminationForest(parent), y.signature, remap(y.marks), remap(y.edge_marks), remap(y.func_marks)
     )
     # an anchored vertex is copied once
@@ -329,6 +331,7 @@ class ModForestCounter:
         return self.tables.down.get((v, q), 0)
 
     def root_count(self, r: int, qfull: Tuple[int, ...]) -> int:
+        """Occurrences of the code path ``qfull`` starting at ``r`` itself."""
         if self.codes.code[r] != qfull[0]:
             return 0
         return self.down(r, qfull[1:])
@@ -371,7 +374,12 @@ class ModForestCounter:
             vbar = tuple(nu[x] for x in self.xvars)
         except KeyError as exc:
             raise ValueError(f"valuation missing variable {exc.args[0]!r}") from None
-        key = typed_shape_key(self.codes, vbar)
+        try:
+            key = typed_shape_key(self.codes, vbar)
+        except KeyError as exc:  # an argument outside the forest
+            v = exc.args[0]
+            var = self.xvars[vbar.index(v)]
+            raise ValueError(f"valuation sends {var} to {v}, not a forest vertex") from None
         hit = self._residues.get(key)
         if hit is None:
             hit = self._residues[key] = self._residue_at(vbar)[0]
@@ -491,7 +499,7 @@ class ModForestCounter:
                     r_blue = self.down(s, q) % self.b
                     conj.append(MarkAtom(f"{mark_prefix}Blue{qid}x{r_blue}", pos_term[s]))
                     for ch in pinned[s]:
-                        r_green = (self.down(ch, q[1:]) if self.codes.code[ch] == q[0] else 0) % self.b
+                        r_green = self.root_count(ch, q) % self.b
                         conj.append(MarkAtom(f"{mark_prefix}Green{qid}x{r_green}", pos_term[ch]))
                 elif term[0] == "A":
                     _, qfull, _cnt = term
@@ -512,32 +520,24 @@ class ModForestCounter:
         used_paths: Dict[Tuple[str, Tuple[int, ...]], int],
         mark_prefix: str,
     ) -> ColoredForest:
+        vertices = self.forest.vertices
         new_marks: Dict[str, List[int]] = {}
-        for tid in sorted(used_codes):
-            new_marks[f"{mark_prefix}Code{tid}"] = [
-                v for v in self.forest.vertices if self.codes.code[v] == tid
-            ]
-        for (kind, q), qid in sorted(used_paths.items(), key=lambda kv: kv[1]):
+        for tid in used_codes:
+            new_marks[f"{mark_prefix}Code{tid}"] = [v for v in vertices if self.codes.code[v] == tid]
+        for (kind, q), qid in used_paths.items():
             for r in range(self.b):
                 if kind == "C":
                     new_marks[f"{mark_prefix}Blue{qid}x{r}"] = [
-                        v for v in self.forest.vertices if self.down(v, q) % self.b == r
+                        v for v in vertices if self.down(v, q) % self.b == r
                     ]
-                    new_marks[f"{mark_prefix}Green{qid}x{r}"] = [
-                        v
-                        for v in self.forest.vertices
-                        if ((self.down(v, q[1:]) if self.codes.code[v] == q[0] else 0) % self.b) == r
-                    ]
-                else:
-                    new_marks[f"{mark_prefix}Root{qid}x{r}"] = [
-                        v
-                        for v in self.forest.vertices
-                        if ((self.down(v, q[1:]) if self.codes.code[v] == q[0] else 0) % self.b) == r
-                    ]
+                # the q-paths from the vertex itself: read at pinned children
+                # (Green) and at closure roots (Root)
+                name = f"{mark_prefix}{'Green' if kind == 'C' else 'Root'}{qid}x{r}"
+                new_marks[name] = [v for v in vertices if self.root_count(v, q) % self.b == r]
+        _check_reserved(new_marks)  # the one check y's own does not cover
         sig = self.y.signature.with_relations(sorted(new_marks))
-        marks = dict(self.y.marks)
-        marks.update({name: tuple(vs) for name, vs in new_marks.items()})
-        return ColoredForest(self.y.forest, sig, marks, dict(self.y.edge_marks), dict(self.y.func_marks))
+        marks = {**self.y.marks, **{name: tuple(new_marks[name]) for name in sorted(new_marks)}}
+        return ColoredForest._assemble(self.y.forest, sig, marks, self.y.edge_marks, self.y.func_marks)
 
 
 def forest_counter(y: ColoredForest, sigma: Formula, b: int, yvar: Optional[str] = None) -> ModForestCounter:

@@ -30,7 +30,7 @@ import itertools
 import logging
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .structures import _read_ints, _read_lines, degeneracy_order
 
@@ -172,18 +172,27 @@ def _bit_rows(m: SparseFieldMatrix) -> List[int]:
     return rows
 
 
+def _f2_basis(bit_rows: Sequence[int]) -> List[int]:
+    """The rows, as raw bit masks in row order, that a greedy F_2
+    elimination keeps: each is independent of the rows kept before it."""
+    chosen: List[int] = []
+    reduced: Dict[int, int] = {}  # pivot bit -> reduced row with that top bit
+    for row in bit_rows:
+        probe = row
+        while probe:
+            pivot = probe.bit_length() - 1
+            if pivot in reduced:
+                probe ^= reduced[pivot]
+            else:
+                reduced[pivot] = probe
+                chosen.append(row)
+                break
+    return chosen
+
+
 def rank_F2(m: SparseFieldMatrix) -> int:
     """Rank over F_2 of the 0/1 indicator of the nonzero positions."""
-    basis: Dict[int, int] = {}
-    for row in _bit_rows(m):
-        while row:
-            pivot = row.bit_length() - 1
-            if pivot in basis:
-                row ^= basis[pivot]
-            else:
-                basis[pivot] = row
-                break
-    return len(basis)
+    return len(_f2_basis(_bit_rows(m)))
 
 
 def rank_Fp(m: SparseFieldMatrix) -> int:
@@ -276,21 +285,8 @@ def build_marking(m: SparseFieldMatrix, r: int) -> SetRankMatrix:
     slices: Dict[int, List[int]] = {}
     basis: Dict[int, Tuple[int, ...]] = {}
     for d in m.domain():
-        bit_rows = _bit_rows(slice_matrix(m, d))
-        chosen: List[int] = []
-        reduced: Dict[int, int] = {}
-        for row in bit_rows:
-            probe = row
-            while probe:
-                pivot = probe.bit_length() - 1
-                if pivot in reduced:
-                    probe ^= reduced[pivot]
-                else:
-                    reduced[pivot] = probe
-                    chosen.append(row)
-                    break
-        slices[d] = bit_rows
-        basis[d] = tuple(chosen)
+        slices[d] = _bit_rows(slice_matrix(m, d))
+        basis[d] = tuple(_f2_basis(slices[d]))
     total = sum(len(chosen) for chosen in basis.values())
     if total > r:
         raise ValueError(f"set-rank {total} exceeds the budget {r}")

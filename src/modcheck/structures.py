@@ -422,6 +422,8 @@ def parse_graph(text: str) -> GuidedStructure:
                 raise GraphFormatError(lineno, "'v' needs a vertex id")
             (v,) = _read_vertices(rest[:1], lineno, n)
             for mark in rest[1:]:
+                if mark in functions:
+                    raise GraphFormatError(lineno, f"name {mark!r} is both a mark and a function")
                 marks.setdefault(mark, set()).add(v)
         elif head == "e":
             if len(rest) != 2:
@@ -439,6 +441,8 @@ def parse_graph(text: str) -> GuidedStructure:
                 raise GraphFormatError(lineno, "'f' takes a name and two vertex ids")
             name = rest[0]
             u, v = _read_vertices(rest[1:], lineno, n)
+            if name in marks:
+                raise GraphFormatError(lineno, f"name {name!r} is both a mark and a function")
             fmap = functions.setdefault(name, {})
             if fmap.get(u, v) != v:
                 raise GraphFormatError(lineno, f"conflicting images for {name}({u})")
@@ -448,10 +452,7 @@ def parse_graph(text: str) -> GuidedStructure:
 
     if n is None:
         raise GraphFormatError(1, "missing 'n' line")
-    try:
-        sig = Signature(tuple(marks), tuple(functions))
-    except ValueError as exc:  # a mark and a function share a name
-        raise GraphFormatError(1, str(exc)) from None
+    sig = Signature(tuple(marks), tuple(functions))
     domain = tuple(range(n))
     for fmap in functions.values():
         for v in domain:

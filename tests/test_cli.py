@@ -384,6 +384,16 @@ def test_forest_eval_answers_over_the_forest_vocabulary(capsys, c4, tmp_path):
     assert with_emod >= 10
 
 
+def test_forest_encode_refuses_names_of_the_forest_vocabulary(capsys, tmp_path):
+    for name, text in (("Lvl1", "n 2\nv 0 Lvl1\ne 0 1\n"), ("pi", "n 2\ne 0 1\nf pi 0 1\n")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "forest", "encode", "-g", str(path))
+        assert code == 1, name
+        assert out == ""
+        assert f"source symbol '{name}' collides with the forest vocabulary" in err
+
+
 def test_forest_usage_errors_exit_two(capsys, c4):
     with pytest.raises(SystemExit) as info:
         main(["forest", "encode"])  # missing --graph

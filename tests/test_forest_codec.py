@@ -169,6 +169,14 @@ def test_reserved_names_rejected():
         ColoredForest(forest, Signature((), ("pi",)))
 
 
+def test_encode_refuses_names_of_the_forest_vocabulary():
+    forest = EliminationForest({0: 0, 1: 0})
+    for sig in (Signature(("Lvl1",), ()), Signature((), ("pi",))):
+        m = GuidedStructure(sig, range(2), [(0, 1)])
+        with pytest.raises(ValueError, match="collides"):
+            encode_IY(m, forest)
+
+
 def test_pullback_equality_unchanged():
     sig = Signature(("P",), ("f",))
     phi = parse_formula("x = y", sig)

@@ -282,6 +282,15 @@ def test_eval_forest_rejects_foreign_anchor():
         eval_forest(y, phi, {"x": 5})
 
 
+def test_counter_rejects_foreign_argument():
+    y = forest_of({0: 0, 1: 0})
+    sigma = parse_formula("pi(w) = pi(x) & pi(w) = pi(z)", forest_signature(y.signature, y.forest.height))
+    counter = forest_counter(y, sigma, 2, "w")
+    assert counter.residue({"x": 1, "z": 0}) == 0
+    with pytest.raises(ValueError, match="valuation sends z to 7, not a forest vertex"):
+        counter.residue({"x": 1, "z": 7})
+
+
 def test_eval_forest_scales_linearly():
     # a family whose truncated-type space saturates: one tree, one mark,
     # height 3; past saturation the pruned representative stops growing and

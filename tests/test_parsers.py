@@ -4,8 +4,10 @@ Every format shares one line reader: blank lines and ``#`` comments are
 skipped, and errors name their line.  The graph reader and the structure
 builders that start from checked data (restriction, monadic expansion,
 decoding, the forest as a structure) assemble a ``GuidedStructure`` without
-the constructor's checks; these tests pin that each builds exactly what the
-checking constructor builds from the same parts.
+the constructor's checks, and the forest reader and the forest builders
+(encoding, pruning, residue expansion) assemble a ``ColoredForest`` the same
+way; these tests pin that each builds exactly what the checking constructor
+builds from the same parts.
 """
 
 import random
@@ -20,12 +22,16 @@ from gens import (
 )
 from modcheck.coloring import heuristic_elimination_forest
 from modcheck.forest_codec import (
+    ColoredForest,
     decode_IS,
     encode_IY,
     forest_structure,
+    forest_signature,
     parse_forest,
     serialize_forest,
 )
+from modcheck.forest_eval import SubtreeTypeTable, _prune, forest_counter
+from modcheck.logic import parse_formula
 from modcheck.matrix import SparseFieldMatrix, format_matrix, parse_matrix
 from modcheck.structures import (
     GuidedStructure,
@@ -96,6 +102,11 @@ def test_comments_and_blank_lines_change_no_result():
         (parse_forest, "r 0\np 1 0\n\n# c\nm 0 TE_1_2\n", 5, "edge mark (1,2) on vertex 0 not at level 2"),
         (parse_forest, "r 0\np 1 0\nm 1 TE_2_1\n", 3, "bad edge mark levels (2,1)"),
         (parse_forest, "r 0\nrel Lvl1\n", 2, "collides with the forest vocabulary"),
+        (parse_forest, "rel P\nfn P\nr 0\n", 2, "symbol 'P' already declared"),
+        (parse_forest, "rel P\nrel P\nr 0\n", 2, "symbol 'P' already declared"),
+        (parse_forest, "fn f\nfn f\nr 0\n", 2, "symbol 'f' already declared"),
+        (parse_graph, "n 1\nv 0 g\nf g 0 0\n", 3, "name 'g' is both a mark and a function"),
+        (parse_graph, "n 1\nf g 0 0\nv 0 g\n", 3, "name 'g' is both a mark and a function"),
         (parse_steps, "I 0\nS 1\nS 2\n", 3, "second deletion"),
         (parse_steps, "I 0\nI one\n", 2, "integers"),
         (parse_steps, "I 0\nX 1\n", 2, "expected an I or S line, got 'X 1'"),
@@ -115,8 +126,6 @@ def test_errors_name_their_line_through_comments(parse, text, lineno, msg):
 @pytest.mark.parametrize(
     "parse,text",
     [
-        (parse_graph, "n 1\nv 0 g\nf g 0 0\n"),  # a mark and a function named g
-        (parse_forest, "rel P\nfn P\nr 0\n"),
         (parse_forest, "p 0 1\np 1 0\n"),  # a parent cycle
         (parse_forest, "p 1 0\n"),  # a parent with no line of its own
         (parse_matrix, "p 3\n# no n\n"),
@@ -202,6 +211,42 @@ def test_derived_structures_are_what_the_constructor_builds():
         assert_as_constructed(decoded)
         for height in (None, y.height + 1):
             assert_as_constructed(forest_structure(y, height))
+
+
+def forest_fields(y: ColoredForest):
+    """Every field of a colored forest, with the order of its tables."""
+    return y.forest, y.signature, list(y.marks.items()), list(y.edge_marks.items()), list(y.func_marks.items())
+
+
+def assert_forest_as_constructed(y: ColoredForest) -> None:
+    again = ColoredForest(y.forest, y.signature, y.marks, y.edge_marks, y.func_marks)
+    assert forest_fields(y) == forest_fields(again)
+
+
+def test_forest_builders_build_what_the_constructor_builds():
+    for rng, m in random_structures(97, 120):
+        y = encode_IY(m, heuristic_elimination_forest(gaifman(m)))
+        assert_forest_as_constructed(y)
+        text = serialize_forest(y)
+        back = parse_forest(text)
+        assert forest_fields(back) == forest_fields(y)
+        assert_forest_as_constructed(back)
+        # the same declarations, then the other lines in any order with
+        # some mark lines repeated
+        lines = text.splitlines()
+        head = [line for line in lines if line.split()[0] in ("rel", "fn")]
+        body = lines[len(head):]
+        body += [line for line in body if line[0] == "m" and rng.random() < 0.3]
+        rng.shuffle(body)
+        shuffled = parse_forest("\n".join(head + body) + "\n")
+        assert forest_fields(shuffled) == forest_fields(y)
+        table = SubtreeTypeTable(y, threshold=rng.randint(1, 2), modulus=rng.randint(1, 3))
+        anchors = rng.sample(y.forest.vertices, min(2, len(m)))
+        assert_forest_as_constructed(_prune(y, table, anchors)[0])
+        fsig = forest_signature(y.signature, y.height)
+        sigma = parse_formula("pi(w) = pi(x) & !(w = x)", fsig)
+        counter = forest_counter(y, sigma, rng.randint(2, 3), "w")
+        assert_forest_as_constructed(counter.materialize(rng.randrange(counter.b))[0])
 
 
 # ---------------------------------------------------------------------------
